@@ -30,8 +30,8 @@ std::string deploy_unsupported(const scenario::ScenarioSpec& spec) {
            "schedulers have no per-round barrier point)";
   }
   if (spec.exec.threads > 1) {
-    return "deployment replicas are serial (sender attribution is "
-           "single-threaded)";
+    return "deployment replicas are serial (the canonical send seq that "
+           "keys relays is stamped on the main lane only)";
   }
   return "";
 }
@@ -40,7 +40,6 @@ Replica::Replica(scenario::ScenarioSpec spec, std::size_t procs)
     : procs_(procs), runner_(std::move(spec)) {}
 
 void Replica::install_hook(sched::HookScheduler::PostUnit post_unit) {
-  net().set_attribute_sends(true);
   net().set_scheduler(std::make_unique<sched::HookScheduler>(
       std::make_unique<sched::SerialScheduler>(), std::move(post_unit)));
 }

@@ -68,7 +68,7 @@ class Replica {
   Replica(scenario::ScenarioSpec spec, std::size_t procs);
 
   /// Installs the barrier hook (serial scheduler wrapped in a
-  /// HookScheduler) and turns on sender attribution. Must be called
+  /// HookScheduler). Must be called
   /// before run(), after which every schedule unit ends in `post_unit`.
   void install_hook(sched::HookScheduler::PostUnit post_unit);
 

@@ -43,13 +43,15 @@ struct ExecutionSpec {
   sim::TimedConfig timed;
 
   /// A send/deliver event trace (sim/trace.hpp) will be attached to the
-  /// run. Tracing attributes sends to the acting node through a single
-  /// slot, so it is serial-only.
+  /// run. Tracing is serial-only: every worker would record into the one
+  /// shared Trace buffer, and the flow ids come from the canonical send
+  /// seq, which only the main lane stamps.
   bool trace = false;
 
   /// Checks the combination for contradictions; returns a human-readable
   /// reason, or nullopt when valid. The rules intentionally cover only
-  /// what a user can ask for: a trace or the timed scheduler combined
+  /// what a user can ask for: a trace (see `trace` for why it is
+  /// serial-only) or the timed scheduler (one shared event heap) combined
   /// with a worker pool. Tools report the reason and exit 2.
   std::optional<std::string> validate() const;
 };

@@ -99,7 +99,7 @@ struct LatencyReport {
 
 /// Health samples from the telemetry::RoundProbe ring buffer (the last
 /// ScenarioSpec::timeseries_capacity samples of the run). Round/timed runs
-/// sample once per round; async runs sample every AsyncConfig::probe_stride
+/// sample once per round; async runs sample every AsyncConfig::kProbeStride
 /// steps, with each sample's `round` field holding the step count.
 struct TimeSeriesReport {
   /// Clock the samples' `round` field ticks in: "rounds", "steps", or

@@ -82,10 +82,10 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
   } else if (spec_.exec.scheduler == Scheduler::kAsync) {
     // The async stepper sits behind the same seam as the other flavors:
     // one unit = one randomized step, probe sampling on the step stride.
+    // Installing it also moves clock_now() (latency stamps, telemetry)
+    // onto the step clock; the round counter barely moves under step
+    // scheduling.
     net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
-    // Async runs measure latency and stamp telemetry on the step clock —
-    // the round counter barely moves under step scheduling.
-    net().set_clock_mode(sim::Network::ClockMode::kSteps);
   }
   // Crash-recovery needs periodic state snapshots to restart from; any
   // scheduler flavor can take them (the capture is a pure state read).
@@ -100,7 +100,7 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec)
 
   // Per-phase telemetry ring: every scheduler samples through its own
   // Scheduler::sample hook — round/timed runs once per round after the
-  // barrier, async runs every AsyncConfig::probe_stride steps on the step
+  // barrier, async runs every AsyncConfig::kProbeStride steps on the step
   // clock. The enricher supplies the one field the Network cannot compute
   // itself.
   if (spec_.timeseries_capacity > 0) {
@@ -701,11 +701,11 @@ std::size_t ScenarioRunner::wait_converged(std::size_t max_rounds, bool oracle_t
   // alive node) under the async stepper. The returned duration is in the
   // scheduler's own units — step-grained schedulers report elapsed steps
   // (stride x iterations), matching PhaseReport::rounds' units.
-  const std::uint64_t start = net().unit_now();
+  const std::uint64_t start = net().clock_now();
   const auto used = net().run_until(settled, max_rounds);
   converged_out = used.has_value();
   return used.value_or(
-      static_cast<std::size_t>(net().unit_now() - start));
+      static_cast<std::size_t>(net().clock_now() - start));
 }
 
 // ---------------------------------------------------------------------------

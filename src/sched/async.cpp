@@ -10,8 +10,7 @@ std::size_t AsyncScheduler::advance(sim::Network& net) { return net.step(); }
 
 void AsyncScheduler::sample(sim::Network& net, std::size_t delivered) {
   (void)delivered;  // accumulated in the window counters by step()
-  if (net.round_probe_ != nullptr && net.async_cfg_.probe_stride > 0 &&
-      net.step_ % net.async_cfg_.probe_stride == 0) {
+  if (net.round_probe_ != nullptr && net.step_ % sim::AsyncConfig::kProbeStride == 0) {
     net.sample_async_probe();
   }
 }

@@ -15,8 +15,8 @@ class AsyncScheduler final : public Scheduler {
   std::size_t advance(sim::Network& net) override;
   Unit unit() const override { return Unit::kStep; }
   /// Samples the window counters whenever the step clock hits a multiple
-  /// of AsyncConfig::probe_stride — the same chunk-invariant sample points
-  /// the pre-seam run_steps loop produced.
+  /// of AsyncConfig::kProbeStride — chunk-invariant sample points, shared
+  /// with Network::run_steps (which drives this check directly).
   void sample(sim::Network& net, std::size_t delivered) override;
   /// ~One action per alive node between convergence probes, so a
   /// run_until budget stays comparable to a round budget.

@@ -56,7 +56,6 @@ class BranchScheduler final : public Scheduler {
   /// its pool slot is reclaimed.
   void discard(sim::Network& net, std::size_t i) {
     const sim::Envelope& env = net.grouped_[i];
-    net.trace_forget(env.msg);
     env.pool->destroy(env.msg, env.handle);
   }
 

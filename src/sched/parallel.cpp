@@ -117,10 +117,9 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
   // Deterministic merge, in worker order: repatriate deferred frees to
   // the pools that own them, splice each lane onto the main in-flight
   // buffer — reproducing the serial emission order, since the shards
-  // partition the grouped batch contiguously in target-id order — and
-  // fold the swallowed counters. The sequential timeout sweep then
-  // appends its sends after every lane, exactly as the serial round
-  // does.
+  // partition the grouped batch contiguously in target-id order. The
+  // sequential timeout sweep then appends its sends after every lane,
+  // exactly as the serial round does.
   std::size_t delivered = 0;
   for (std::unique_ptr<Worker>& wp : workers_) {
     Worker& w = *wp;
@@ -130,8 +129,6 @@ std::size_t ParallelScheduler::advance(sim::Network& net) {
     w.free_lane.deferred.clear();
     net.pending_.insert(net.pending_.end(), w.lane.begin(), w.lane.end());
     w.lane.clear();
-    net.main_ctx_.swallowed_to_dead += w.ctx.swallowed_to_dead;
-    w.ctx.swallowed_to_dead = 0;
     delivered += w.delivered;
   }
   net.timeout_sweep();

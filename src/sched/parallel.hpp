@@ -79,8 +79,9 @@ class ParallelScheduler final : public Scheduler {
  private:
   /// One worker's private world: message arena, metrics shard, latency
   /// shard, in-flight lane, deferred-free lane, and the SendContext tying
-  /// them together. Persistent across rounds so slab freelists keep
-  /// recycling.
+  /// them together (which also carries the worker's acting node, the
+  /// sender attribution of its deliveries' sends). Persistent across
+  /// rounds so slab freelists keep recycling.
   struct Worker {
     sim::MessagePool pool;
     sim::Metrics metrics;

@@ -1,8 +1,9 @@
 // Execution seam of the simulated network.
 //
 // sim::Network::run_unit() delegates to the installed Scheduler, which
-// executes one *schedule unit* — a synchronous round, a timed interval, or
-// a single asynchronous step — through the Network's phase helpers
+// executes one *schedule unit* — a synchronous round (a timed interval is
+// one round of virtual time) or a single asynchronous step — through the
+// Network's phase helpers
 // (round_begin / deliver_grouped_range / timeout_sweep / round_end, or
 // step / timed_interval). All four execution modes (serial, parallel,
 // async, timed) sit behind this one virtual seam; front-ends like the
@@ -32,11 +33,10 @@ class Scheduler {
  public:
   /// What one advance() call executes — and therefore the unit every
   /// budget, duration and latency figure is denominated in while this
-  /// scheduler is installed.
+  /// scheduler is installed (Network::clock_now()).
   enum class Unit {
-    kRound,     ///< one synchronous round
-    kInterval,  ///< one virtual-clock interval (timed mode; = 1 round)
-    kStep,      ///< one asynchronous step (a single delivery or Timeout)
+    kRound,  ///< one synchronous round, or one timed interval (= 1 round)
+    kStep,   ///< one asynchronous step (a single delivery or Timeout)
   };
 
   virtual ~Scheduler() = default;
@@ -52,7 +52,7 @@ class Scheduler {
   /// probe attach-point is on the Network). The default samples the
   /// attached RoundProbe once per unit — correct for round-grained
   /// schedulers; the async scheduler overrides it to sample window
-  /// counters every AsyncConfig::probe_stride steps instead.
+  /// counters every AsyncConfig::kProbeStride steps instead.
   virtual void sample(sim::Network& net, std::size_t delivered);
 
   /// How many units a convergence wait (Network::run_until) batches

@@ -16,7 +16,6 @@ namespace ssps::sched {
 class TimedScheduler final : public Scheduler {
  public:
   std::size_t advance(sim::Network& net) override;
-  Unit unit() const override { return Unit::kInterval; }
   unsigned threads() const override { return 1; }
   std::string_view name() const override { return "timed"; }
 };

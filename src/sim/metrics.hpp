@@ -39,19 +39,6 @@ class Metrics {
   /// Records a delivery (receipt) of `m` at node `at`.
   void on_deliver(const Message& m, NodeId at) { count_deliver(label_of(m), at); }
 
-  /// Dense id of `m`'s action label (interned on first sight). The ids
-  /// are local to this Metrics instance — under the parallel scheduler
-  /// each worker shard interns independently and fold_into remaps by
-  /// name — so they are only ever paired with on_send_id on the same
-  /// instance; delivery accounting re-resolves via on_deliver(m, at).
-  std::uint32_t label_id(const Message& m) { return label_of(m); }
-
-  /// Fast-path send counter on a pre-resolved label id.
-  void on_send_id(std::uint32_t label, std::size_t bytes, NodeId to) {
-    count_send(label, bytes);
-    count_sent_to(to);
-  }
-
   /// String-keyed variants for callers without a Message instance
   /// (tests, ad-hoc accounting). Slower: one intern lookup per call.
   void on_send(std::string_view name, std::size_t bytes, NodeId to);

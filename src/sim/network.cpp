@@ -5,6 +5,7 @@
 
 #include "common/decode.hpp"
 #include "common/encode.hpp"
+#include "sched/async.hpp"
 #include "sched/parallel.hpp"
 #include "sched/serial.hpp"
 #include "sched/timed.hpp"
@@ -76,7 +77,6 @@ void Network::drop_pending_for(NodeId to) {
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     if (pending_[i].to == to) {
-      if (trace_ != nullptr) [[unlikely]] trace_forget(pending_[i].msg);
       pending_[i].pool->destroy(pending_[i].msg, pending_[i].handle);
     } else {
       pending_[kept++] = pending_[i];
@@ -92,7 +92,6 @@ void Network::drop_pending_for(NodeId to) {
     for (std::size_t i = 0; i < timed_events_.size(); ++i) {
       const Envelope& env = timed_events_[i].env;
       if (env.to == to) {
-        if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
         env.pool->destroy(env.msg, env.handle);
       } else {
         timed_events_[kept_ev++] = timed_events_[i];
@@ -116,7 +115,6 @@ bool Network::replace_pending_message(NodeId from, std::uint64_t seq,
   SSPS_ASSERT(msg);
   for (Envelope& env : pending_) {
     if (env.seq == seq && env.from == from) {
-      if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
       env.pool->destroy(env.msg, env.handle);
       env.msg = msg.get();
       env.pool = msg.pool();
@@ -236,10 +234,12 @@ std::size_t Network::pending_for(NodeId id) const {
   return count;
 }
 
-void Network::deliver_envelope(const Envelope& env, Node& node) {
-  metrics_.on_deliver(*env.msg, env.to);
+void Network::deliver_envelope(const Envelope& env, Node& node, SendContext& ctx) {
+  ctx.metrics->on_deliver(*env.msg, env.to);
   if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
+  ctx.acting = env.to;
   node.handle(PooledMsg(env.pool, env.msg, env.handle));
+  ctx.acting = NodeId::null();
 }
 
 void Network::deliver_at(std::size_t index) {
@@ -260,7 +260,7 @@ void Network::deliver_at(std::size_t index) {
   if (async_synced_ > pending_.size()) async_synced_ = pending_.size();
   Slot* slot = find_slot(env.to);
   SSPS_ASSERT(slot != nullptr && slot->node != nullptr);
-  deliver_envelope(env, *slot->node);
+  deliver_envelope(env, *slot->node, main_ctx_);
 }
 
 void Network::fire_timeout(Slot& slot) {
@@ -271,7 +271,9 @@ void Network::fire_timeout(Slot& slot) {
     std::push_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
                    timeout_entry_later);
   }
+  main_ctx_.acting = slot.node->id();
   slot.node->timeout();
+  main_ctx_.acting = NodeId::null();
 }
 
 std::size_t Network::round_begin() {
@@ -338,21 +340,12 @@ std::size_t Network::deliver_grouped_range(std::size_t begin, std::size_t end,
     Slot* slot = find_slot(env.to);
     if (slot->node == nullptr) {
       // Crashed mid-round: reclaim, invoke nothing.
-      if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
       env.pool->destroy(env.msg, env.handle);
       continue;
     }
-    ctx.metrics->on_deliver(*env.msg, env.to);
-    if (trace_ != nullptr) [[unlikely]] trace_deliver(env);
-    else if (timed_enabled_ || attribute_sends_) acting_node_ = env.to;
-    slot->node->handle(PooledMsg(env.pool, env.msg, env.handle));
+    deliver_envelope(env, *slot->node, ctx);
     ++delivered;
   }
-  // Timed mode attributes each handler's sends to the handling node
-  // (trace_deliver does the same when tracing, set_attribute_sends asks
-  // for the same in plain round mode); the guard keeps this a no-write
-  // under the parallel scheduler, where all three are off.
-  if (timed_enabled_ || attribute_sends_) acting_node_ = NodeId::null();
   return delivered;
 }
 
@@ -367,17 +360,14 @@ void Network::timeout_sweep() {
   // A full sweep rewrites every alive last_timeout: cheaper to let the
   // async index rebuild once on the next step() than to push n updates.
   async_timeout_heap_valid_ = false;
-  const bool attribute = trace_ != nullptr || timed_enabled_ || attribute_sends_;
   const std::size_t population = slots_.size();
   std::size_t timeouts = 0;
   for (std::size_t i = 0; i < population; ++i) {
     if (slots_[i].node != nullptr) {
-      if (attribute) [[unlikely]] acting_node_ = id_at(i);
       fire_timeout(slots_[i]);
       ++timeouts;
     }
   }
-  if (attribute) acting_node_ = NodeId::null();
   last_round_timeouts_ = timeouts;
 }
 
@@ -396,7 +386,7 @@ std::size_t Network::run_unit() {
   return delivered;
 }
 
-std::uint64_t Network::unit_now() const {
+std::uint64_t Network::clock_now() const {
   return scheduler_->unit() == sched::Scheduler::Unit::kStep ? step_ : round_;
 }
 
@@ -515,33 +505,16 @@ void Network::attach_trace(Trace* trace) {
   SSPS_ASSERT_MSG(trace == nullptr || scheduler_threads() == 1,
                   "attach_trace: tracing requires the serial scheduler");
   trace_ = trace;
-  if (trace == nullptr) {
-    flow_ids_.clear();
-    acting_node_ = NodeId::null();
-  }
 }
 
-void Network::trace_send(NodeId to, const Message& msg, bool enqueued) {
-  const std::uint64_t flow = ++next_flow_;
-  // Swallowed sends get an event but no map entry: their pool slot is
-  // recycled immediately, and a reused slot must not alias this flow.
-  if (enqueued) flow_ids_[&msg] = flow;
-  trace_->record(round_, acting_node_, to, msg.name(), TraceEventKind::kSend, flow);
+void Network::trace_send(NodeId from, NodeId to, const Message& msg, std::uint64_t flow) {
+  trace_->record(round_, from, to, msg.name(), TraceEventKind::kSend, flow);
 }
 
 void Network::trace_deliver(const Envelope& env) {
-  acting_node_ = env.to;
-  std::uint64_t flow = 0;
-  auto it = flow_ids_.find(env.msg);
-  if (it != flow_ids_.end()) {
-    flow = it->second;
-    flow_ids_.erase(it);
-  }
   trace_->record(round_, NodeId::null(), env.to, env.msg->name(),
-                 TraceEventKind::kDeliver, flow);
+                 TraceEventKind::kDeliver, env.seq + 1);
 }
-
-void Network::trace_forget(const Message* msg) { flow_ids_.erase(msg); }
 
 std::size_t Network::pool_reserved_bytes() const {
   return pool_.reserved_bytes() + scheduler_->reserved_bytes();
@@ -632,7 +605,6 @@ void Network::route_envelope(const Envelope& env, Step send_tick) {
     ++timed_corrupted_;
     PooledMsg replacement = corrupter_->corrupt(*routed.msg, pool_, link_rng_);
     const std::size_t bytes = routed.msg->wire_size();
-    if (trace_ != nullptr) [[unlikely]] trace_forget(routed.msg);
     routed.pool->destroy(routed.msg, routed.handle);
     if (!replacement) {
       ++timed_rejected_;
@@ -675,7 +647,6 @@ void Network::push_timed_event(Step at, const Envelope& env) {
 }
 
 void Network::drop_envelope(const Envelope& env) {
-  if (trace_ != nullptr) [[unlikely]] trace_forget(env.msg);
   env.pool->destroy(env.msg, env.handle);
   ++timed_dropped_;
 }
@@ -791,21 +762,16 @@ std::size_t Network::step() {
 }
 
 void Network::run_steps(std::size_t k) {
-  for (std::size_t i = 0; i < k; ++i) {
-    step();
-    // The async analogue of the per-round probe sample: window counters
-    // on the step clock (fixes the always-empty timeseries of step-driven
-    // runs, which only ever sampled at round barriers).
-    if (round_probe_ != nullptr && async_cfg_.probe_stride > 0 &&
-        step_ % async_cfg_.probe_stride == 0) {
-      sample_async_probe();
-    }
-  }
+  // Drives the async scheduler's step and sampling check without
+  // installing it, so the installed scheduler (and with it clock_now())
+  // is untouched by a harness that mixes steps and rounds.
+  sched::AsyncScheduler stepper;
+  for (std::size_t i = 0; i < k; ++i) stepper.sample(*this, stepper.advance(*this));
 }
 
 void Network::sample_async_probe() {
   telemetry::RoundSample sample;
-  sample.round = step_;  // the step clock (ClockMode::kSteps)
+  sample.round = step_;  // the step clock
   sample.delivered = window_delivered_;
   sample.timeouts = window_timeouts_;
   sample.in_flight = pending_messages();

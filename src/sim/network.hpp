@@ -23,9 +23,9 @@
 // default sched::SerialScheduler runs the round on the calling thread;
 // sched::ParallelScheduler shards the delivery phase across a worker pool
 // while reproducing the serial delivery trace bit-for-bit. All send-side
-// effects (lane append, metrics, pool allocation) are routed through a
-// SendContext so a worker's sends land in its private lane without any
-// atomics on the hot path.
+// effects (lane append, metrics, pool allocation, sender attribution) are
+// routed through a SendContext so a worker's sends land in its private
+// lane without any atomics on the hot path.
 #pragma once
 
 #include <concepts>
@@ -33,7 +33,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -71,12 +70,12 @@ struct AsyncConfig {
   /// Probability (x / 256) that a step prefers a Timeout over a delivery
   /// when both are possible.
   std::uint32_t timeout_bias = 64;
-  /// run_steps samples an attached RoundProbe whenever the step clock is a
-  /// multiple of this (window counters since the previous sample) — the
-  /// async scheduler's analogue of the per-round sample. Chunk-invariant:
-  /// the sample points depend only on the step count, never on how the
-  /// steps were batched into run_steps calls.
-  Step probe_stride = 64;
+  /// Step-driven runs sample an attached RoundProbe whenever the step
+  /// clock is a multiple of this (window counters since the previous
+  /// sample) — the async scheduler's analogue of the per-round sample.
+  /// Chunk-invariant: the sample points depend only on the step count,
+  /// never on how the steps were batched into calls.
+  static constexpr Step kProbeStride = 64;
 };
 
 /// One in-flight message (internal to the sim/sched layer). All
@@ -90,8 +89,11 @@ struct Envelope {
   NodeId to;
   /// Sender attribution: the node whose action executed the send, or null
   /// for harness-originated traffic (publishes, injections, control
-  /// plane). The timed scheduler keys link selection and fault exemption
-  /// on it; only maintained while a trace is attached or timed mode is on.
+  /// plane). Always maintained, under every scheduler. The timed scheduler
+  /// keys link selection and fault exemption on it, and the multi-process
+  /// deployment shards in-flight messages by it; round and async delivery
+  /// never read it (they key on `to`), so no delivery decision depends on
+  /// it.
   NodeId from;
   Message* msg = nullptr;
   MessagePool* pool = nullptr;
@@ -119,9 +121,10 @@ struct SendContext {
   /// the Network's own tracker, or a worker's private shard folded at
   /// the round barrier).
   telemetry::LatencyTracker* latency = nullptr;
-  /// Sends swallowed because the target crashed (§3.3); folded into the
-  /// Network's main context at the round barrier.
-  std::uint64_t swallowed_to_dead = 0;
+  /// The node whose action (a delivery or a Timeout) is executing on this
+  /// context — the `from` every send it makes is attributed to. Null
+  /// outside any action, so harness sends stay unattributed.
+  NodeId acting;
 };
 
 namespace detail {
@@ -247,16 +250,16 @@ class Network {
     // counts in the totals but gets no cell: the per-node tables index by
     // id, and an attacker-chosen id must not size an allocation.
     const NodeId to_cell = to.value <= slots_.size() ? to : NodeId::null();
-    ctx.metrics->on_send_id(ctx.metrics->label_id(*msg), msg->wire_size(), to_cell);
-    const bool enqueued = alive(to);
-    if (trace_ != nullptr) [[unlikely]] trace_send(to, *msg, enqueued);
-    if (!enqueued) {
+    ctx.metrics->on_send(*msg, to_cell);
+    if (!alive(to)) {
       // Target crashed or never existed: the message invokes no action
-      // (its pool slot is recycled as `msg` goes out of scope).
-      ++ctx.swallowed_to_dead;
+      // (its pool slot is recycled as `msg` goes out of scope), so its
+      // trace event carries no flow.
+      if (trace_ != nullptr) [[unlikely]] trace_send(ctx.acting, to, *msg, 0);
       return;
     }
-    enqueue(ctx, to, std::move(msg));
+    const Envelope& env = enqueue(ctx, to, std::move(msg));
+    if (trace_ != nullptr) [[unlikely]] trace_send(env.from, to, *env.msg, env.seq + 1);
   }
 
   /// Allocates a T from the pool and sends it: the one-line send path for
@@ -330,7 +333,9 @@ class Network {
   /// the step (0 or 1).
   std::size_t step();
 
-  /// Runs `k` async steps.
+  /// Runs `k` async steps, sampling an attached probe every
+  /// AsyncConfig::kProbeStride steps, without installing the async
+  /// scheduler (clock_now() stays on the installed scheduler's clock).
   void run_steps(std::size_t k);
 
   /// Installs the round scheduler: 1 = the serial scheduler (default),
@@ -355,26 +360,14 @@ class Network {
   Step now() const { return step_; }
 
   /// The installed scheduler's unit clock: the step clock for a
-  /// step-grained scheduler, the round clock otherwise — the clock every
-  /// run_until budget and phase duration is denominated in.
-  std::uint64_t unit_now() const;
+  /// step-grained scheduler, the round clock otherwise (the timed
+  /// scheduler's virtual seconds coincide with its round count by
+  /// construction). Every run_until budget, phase duration,
+  /// delivery-latency `born` stamp and probe sample index is denominated
+  /// in it.
+  std::uint64_t clock_now() const;
 
   AsyncConfig& async_config() { return async_cfg_; }
-
-  /// Which clock the telemetry layer keys on (delivery-latency `born`
-  /// stamps, probe sample indices). The round schedulers count rounds
-  /// (and the timed scheduler's virtual seconds coincide with its round
-  /// count by construction); a harness that drives the network with
-  /// step() installs kSteps so latency is denominated in steps instead of
-  /// a clock that never advances.
-  enum class ClockMode { kRounds, kSteps };
-  void set_clock_mode(ClockMode mode) { clock_mode_ = mode; }
-  ClockMode clock_mode() const { return clock_mode_; }
-
-  /// The telemetry clock's current value (see ClockMode).
-  std::uint64_t clock_now() const {
-    return clock_mode_ == ClockMode::kSteps ? step_ : round_;
-  }
 
   // ---- Timed mode (event-driven virtual clock; see sim/link.hpp) -------
 
@@ -387,7 +380,6 @@ class Network {
   /// trace bit-for-bit.
   void enable_timed(const TimedConfig& cfg);
 
-  bool timed() const { return timed_enabled_; }
   const TimedConfig& timed_config() const { return timed_cfg_; }
 
   /// Appends a partition window (virtual-second bounds are absolute, i.e.
@@ -480,25 +472,11 @@ class Network {
   void attach_round_probe(telemetry::RoundProbe* probe) { round_probe_ = probe; }
 
   /// Attaches a structured event trace recording every send and delivery
-  /// with flow correlation (see src/telemetry/perfetto.hpp for the
-  /// exporter). Serial-only: tracing attributes sends to the acting node
-  /// via a single member, so the scheduler must stay single-threaded
-  /// while a trace is attached. Pass nullptr to detach.
+  /// (see src/telemetry/perfetto.hpp for the exporter). A send and its
+  /// delivery share the flow id seq + 1 of their envelope. Serial-only:
+  /// the Trace buffer is shared, and the canonical seq is stamped on the
+  /// main lane only. Pass nullptr to detach.
   void attach_trace(Trace* trace);
-
-  /// Maintains sender attribution (Envelope::from) for round-mode sends
-  /// even without a trace or timed mode: the multi-process deployment
-  /// shards in-flight messages by sending node, so it needs `from` on
-  /// every node-originated envelope. Round delivery never reads `from`
-  /// (grouping, shuffling and crash drops all key on `to`), so flipping
-  /// this changes no delivery decision and no report byte. Serial-only,
-  /// like tracing: attribution goes through the single acting_node_
-  /// member.
-  void set_attribute_sends(bool on) {
-    SSPS_ASSERT_MSG(!on || scheduler_threads() == 1,
-                    "set_attribute_sends: attribution is serial-only");
-    attribute_sends_ = on;
-  }
 
   /// Visits every in-flight round-lane envelope in canonical send (seq)
   /// order — pending_ appends in send order and only the round barrier
@@ -603,10 +581,10 @@ class Network {
     return tls != nullptr ? *tls : main_ctx_;
   }
 
-  void enqueue(SendContext& ctx, NodeId to, PooledMsg&& msg) {
+  const Envelope& enqueue(SendContext& ctx, NodeId to, PooledMsg&& msg) {
     Envelope env;
     env.to = to;
-    env.from = acting_node_;
+    env.from = ctx.acting;
     env.msg = msg.get();
     env.pool = msg.pool();
     env.sent_at = step_;
@@ -615,7 +593,7 @@ class Network {
     // be a cross-thread write on the parallel hot path.
     if (ctx.lane == &pending_) env.seq = next_send_seq_++;
     env.handle = msg.release();
-    ctx.lane->push_back(env);
+    return ctx.lane->emplace_back(env);
   }
 
   // ---- Round phases (called by the sched:: schedulers) -----------------
@@ -669,7 +647,11 @@ class Network {
   /// Delivers pending_[index] (swap-remove; non-FIFO channels). Async
   /// scheduler path.
   void deliver_at(std::size_t index);
-  void deliver_envelope(const Envelope& env, Node& node);
+  /// Runs `node`'s receive action on `env`, accounting through `ctx` and
+  /// attributing the handler's sends to `env.to`.
+  void deliver_envelope(const Envelope& env, Node& node, SendContext& ctx);
+  /// Runs the slot's Timeout action (main thread), attributing its sends
+  /// to the node.
   void fire_timeout(Slot& slot);
 
   // ---- Async oldest-first index (see step()) ---------------------------
@@ -685,12 +667,8 @@ class Network {
   void sample_async_probe();
 
   // ---- Telemetry hooks (cold paths; only reached when attached) -------
-  void trace_send(NodeId to, const Message& msg, bool enqueued);
+  void trace_send(NodeId from, NodeId to, const Message& msg, std::uint64_t flow);
   void trace_deliver(const Envelope& env);
-  /// Forgets a message's flow id before its pool slot is recycled on a
-  /// non-delivery path (crash drop, destructor drain) — a reused slot
-  /// must never alias an old flow.
-  void trace_forget(const Message* msg);
   void sample_round_probe(std::size_t delivered);
   /// Reclaims every pending message addressed to `to` (crash path).
   void drop_pending_for(NodeId to);
@@ -708,7 +686,6 @@ class Network {
   Metrics metrics_;
   telemetry::LatencyTracker latency_;
   AsyncConfig async_cfg_;
-  ClockMode clock_mode_ = ClockMode::kRounds;
   /// Canonical send counter (Envelope::seq source); main lane only.
   std::uint64_t next_send_seq_ = 0;
 
@@ -753,11 +730,12 @@ class Network {
   std::vector<NodeId> alive_cache_;
   bool alive_cache_valid_ = false;
   /// Probe window counters since the last async sample (satellite of the
-  /// empty-timeseries fix: run_steps samples these every probe_stride).
+  /// empty-timeseries fix: step-driven runs sample these every
+  /// AsyncConfig::kProbeStride steps).
   std::size_t window_delivered_ = 0;
   std::size_t window_timeouts_ = 0;
   /// The Network's own send context (lane = pending_, shard = metrics_,
-  /// arena = pool_); aggregates the workers' swallowed counters at fold.
+  /// arena = pool_).
   SendContext main_ctx_;
   /// Set by the ParallelScheduler around its concurrent delivery phase;
   /// structure mutations (spawn/crash/inject) assert against it.
@@ -769,19 +747,6 @@ class Network {
   telemetry::RoundProbe* round_probe_ = nullptr;
   /// Optional structured event trace (attach_trace; forces serial).
   Trace* trace_ = nullptr;
-  /// Node whose action is currently executing — the `from` attribution
-  /// for traced and timed-mode sends. Only maintained while a trace is
-  /// attached or timed mode is on (both force the serial scheduler, so
-  /// the single member is race-free); null for sends from outside any
-  /// round (harness injections, publishes).
-  NodeId acting_node_;
-  /// Keep acting_node_ maintained in plain round mode too
-  /// (set_attribute_sends; serial-only like the trace/timed cases).
-  bool attribute_sends_ = false;
-  /// In-flight flow correlation: message -> flow id, assigned in send
-  /// order. Only populated while a trace is attached.
-  std::unordered_map<const Message*, std::uint64_t> flow_ids_;
-  std::uint64_t next_flow_ = 0;
 
   std::unique_ptr<sched::Scheduler> scheduler_;
   /// Schedulers replaced mid-run: their worker pools may still own
@@ -798,7 +763,6 @@ class Network {
   std::unique_ptr<Envelope[]> grouped_;
   std::size_t grouped_cap_ = 0;
   std::vector<std::uint32_t> scatter_offsets_;
-  std::vector<NodeId> order_scratch_;
 };
 
 }  // namespace ssps::sim

@@ -8,9 +8,10 @@
 // TraceEvent is a POD: labels are interned to dense ids exactly like
 // sim::Metrics interns action names, so recording an event is a ring
 // store with no allocation — an attached trace no longer perturbs the
-// hot path. Send/deliver pairs share a `flow` correlation id, which is
-// what the Perfetto exporter (src/telemetry/perfetto.hpp) turns into
-// message-flow arrows between round spans.
+// hot path. Send/deliver pairs share a `flow` correlation id (the
+// envelope's canonical send seq + 1), which is what the Perfetto
+// exporter (src/telemetry/perfetto.hpp) turns into message-flow arrows
+// between round spans.
 #pragma once
 
 #include <cstdint>
@@ -40,8 +41,9 @@ struct TraceEvent {
   NodeId to;
   std::uint32_t label = 0;
   TraceEventKind kind = TraceEventKind::kNote;
-  /// Correlates a send with its delivery (0 = uncorrelated). Assigned in
-  /// send order, so flow ids are deterministic per seed.
+  /// Correlates a send with its delivery (0 = uncorrelated). The
+  /// Network stamps the envelope's canonical send seq + 1 on both ends,
+  /// so flow ids are deterministic per seed.
   std::uint64_t flow = 0;
 };
 

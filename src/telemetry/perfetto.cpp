@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <vector>
 
 #include "sim/trace.hpp"
 
@@ -87,6 +88,24 @@ std::string to_perfetto_json(const sim::Trace& trace) {
     }
   }
 
+  // A flow arrow needs both ends: a send swallowed by a crash, dropped on
+  // a link, or whose delivery fell outside the recorded window would
+  // otherwise leave a dangling half. Draw an arrow pair only for ids
+  // recorded as both a send and a delivery.
+  std::vector<std::uint64_t> sent;
+  std::vector<std::uint64_t> delivered;
+  for (const sim::TraceEvent& e : trace.events()) {
+    if (e.flow == 0) continue;
+    if (e.kind == sim::TraceEventKind::kSend) sent.push_back(e.flow);
+    if (e.kind == sim::TraceEventKind::kDeliver) delivered.push_back(e.flow);
+  }
+  std::sort(sent.begin(), sent.end());
+  std::sort(delivered.begin(), delivered.end());
+  auto paired = [&](std::uint64_t flow) {
+    return std::binary_search(sent.begin(), sent.end(), flow) &&
+           std::binary_search(delivered.begin(), delivered.end(), flow);
+  };
+
   // Instant slices + flow arrows, staggered per round in recording order.
   sim::Round stagger_round = 0;
   std::uint64_t stagger = 0;
@@ -116,7 +135,7 @@ std::string to_perfetto_json(const sim::Trace& trace) {
                         ", \"ts\": %" PRIu64 ", \"dur\": %" PRIu64 ", \"name\": \"",
                         tid, ts, kSliceMicros) +
                      label + "\"");
-    if (e.flow != 0) {
+    if (e.flow != 0 && paired(e.flow)) {
       const char* ph = e.kind == sim::TraceEventKind::kSend ? "s" : "f";
       const char* bind = e.kind == sim::TraceEventKind::kSend ? "" : ", \"bp\": \"e\"";
       append_event(out, first,

@@ -289,7 +289,7 @@ TEST(CustomSpec, SingleTopicChurnConverges) {
 TEST(CustomSpec, AsyncTimeseriesAndLatencyUseTheStepClock) {
   // Regression: async runs used to emit an always-empty timeseries ring
   // and latency figures stamped with the (never-advancing) round counter.
-  // They now sample every AsyncConfig::probe_stride steps and measure on
+  // They now sample every AsyncConfig::kProbeStride steps and measure on
   // the step clock, and the report says so.
   ScenarioSpec spec;
   spec.name = "custom-async-probe";
@@ -324,7 +324,7 @@ TEST(CustomSpec, AsyncTimeseriesAndLatencyUseTheStepClock) {
   // Samples tick on the step clock: strictly increasing multiples of the
   // probe stride (the round counter would sit at a handful of rounds).
   const auto& samples = report.timeseries->samples;
-  const sim::Step stride = runner.net().async_config().probe_stride;
+  const sim::Step stride = sim::AsyncConfig::kProbeStride;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     if (i > 0) {
       EXPECT_LT(samples[i - 1].round, samples[i].round);

@@ -3,12 +3,15 @@
 // interleaving biases — not just under synchronous rounds.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/chaos.hpp"
 #include "core/system.hpp"
 #include "pubsub/pubsub_node.hpp"
+#include "sched/async.hpp"
 #include "sim/network.hpp"
+#include "sim/trace.hpp"
 
 namespace ssps::sim {
 namespace {
@@ -108,16 +111,65 @@ TEST(AsyncScheduler, FixedSeedPickSequenceIsPinned) {
   EXPECT_EQ(net.node_as<StepProbe>(c).timeouts, 29);
 }
 
-TEST(AsyncScheduler, StepClockModeStampsSinkRounds) {
-  // ClockMode::kSteps redirects clock_now() (and with it latency/telemetry
-  // stamps) from the round counter to the step counter.
+TEST(AsyncScheduler, InstallingItPutsClockNowOnTheStepClock) {
+  // clock_now() (and with it latency/telemetry stamps) is the installed
+  // scheduler's unit clock: installing AsyncScheduler moves it from the
+  // round counter to the step counter.
   Network net(3);
   net.spawn<StepProbe>();
-  EXPECT_EQ(net.clock_mode(), Network::ClockMode::kRounds);
-  net.set_clock_mode(Network::ClockMode::kSteps);
+  net.set_scheduler(std::make_unique<sched::AsyncScheduler>());
   EXPECT_EQ(net.clock_now(), 0u);
-  net.run_steps(37);
+  net.run_units(37);
   EXPECT_EQ(net.clock_now(), 37u);
+  EXPECT_EQ(net.round(), 0u);
+}
+
+struct Tick final : MsgBase<Tick> {
+  std::string_view name() const override { return "Tick"; }
+};
+
+/// Receives anything; its Timeout sends one Tick to `tick_to` (if set).
+class TickProbe final : public Node {
+ public:
+  void handle(PooledMsg msg) override { (void)msg; }
+  void timeout() override {
+    if (tick_to) net().emit<Tick>(tick_to);
+  }
+  NodeId tick_to = NodeId::null();
+};
+
+TEST(AsyncScheduler, TimeoutSendsAreAttributedToTheTimingOutNode) {
+  // Regression: traced async stepping attributed each Timeout's sends to
+  // whichever node last received a delivery. Only a's Timeout sends, so
+  // every Tick — in the trace and on the in-flight envelopes — must carry
+  // from == a, however the steps interleave deliveries to b and c.
+  Network net(11);
+  const NodeId a = net.spawn<TickProbe>();
+  const NodeId b = net.spawn<TickProbe>();
+  const NodeId c = net.spawn<TickProbe>();
+  net.node_as<TickProbe>(a).tick_to = c;
+  Trace trace(1 << 12);
+  net.attach_trace(&trace);
+  for (int i = 0; i < 40; ++i) net.emit<StepPing>(b, i);
+  net.run_steps(400);
+
+  const std::vector<TraceEvent> ticks = trace.filter("Tick");
+  std::size_t sends = 0;
+  for (const TraceEvent& e : ticks) {
+    if (e.kind != TraceEventKind::kSend) continue;
+    ++sends;
+    EXPECT_EQ(e.from.value, a.value);
+  }
+  EXPECT_GT(sends, 10u);
+  net.for_each_pending(
+      [&](const Envelope& env) { EXPECT_EQ(env.from.value, a.value); });
+  // Harness sends stay unattributed.
+  for (const TraceEvent& e : trace.filter("StepPing")) {
+    if (e.kind == TraceEventKind::kSend) {
+      EXPECT_TRUE(e.from.is_null());
+    }
+  }
+  net.attach_trace(nullptr);
 }
 
 TEST(AsyncScheduler, PublicationsConvergeUnderAsynchronyToo) {

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <string>
 
 #include "core/system.hpp"
 #include "sim/trace.hpp"
@@ -89,6 +91,52 @@ TEST(Perfetto, LiveSystemExportCarriesCorrelatedFlows) {
   // Balanced structure: as many opening as closing braces.
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '{'),
             std::count(doc.begin(), doc.end(), '}'));
+  sys.net().attach_trace(nullptr);
+}
+
+// Flow ids of every exported arrow end of one phase ("s" or "f"), with
+// their multiplicity.
+std::map<std::uint64_t, int> flow_ends(const std::string& doc, const std::string& ph) {
+  const std::string head = "{\"ph\": \"" + ph + "\"";
+  const std::string key = "\"id\": ";
+  std::map<std::uint64_t, int> ids;
+  for (std::size_t at = doc.find(head); at != std::string::npos;
+       at = doc.find(head, at + 1)) {
+    const std::size_t id_at = doc.find(key, at) + key.size();
+    ++ids[std::stoull(doc.substr(id_at, 20))];
+  }
+  return ids;
+}
+
+TEST(Perfetto, EveryFlowStartHasExactlyOneFinish) {
+  // Regression: sends swallowed by a crashed target, and sends dropped
+  // with a crashed node's channel, used to export a flow start with no
+  // finish. After a crash, every exported start must pair with exactly
+  // one finish, and the reverse.
+  core::SkipRingSystem sys(
+      core::SkipRingSystem::Options{.seed = 7, .fd_delay = 2});
+  Trace trace(1 << 18);
+  sys.net().attach_trace(&trace);
+  const std::vector<NodeId> ids = sys.add_subscribers(6);
+  ASSERT_TRUE(sys.run_until_legit(500).has_value());
+  sys.crash(ids[2]);
+  sys.net().run_rounds(20);
+  ASSERT_EQ(trace.dropped(), 0u);
+
+  const std::string doc = to_perfetto_json(trace);
+  const std::map<std::uint64_t, int> starts = flow_ends(doc, "s");
+  const std::map<std::uint64_t, int> finishes = flow_ends(doc, "f");
+  ASSERT_FALSE(starts.empty());
+  for (const auto& [id, n] : starts) {
+    EXPECT_EQ(n, 1) << "flow " << id << " starts " << n << " times";
+    const auto it = finishes.find(id);
+    EXPECT_TRUE(it != finishes.end() && it->second == 1)
+        << "flow " << id << " has no single finish";
+  }
+  for (const auto& [id, n] : finishes) {
+    EXPECT_EQ(n, 1) << "flow " << id << " finishes " << n << " times";
+    EXPECT_TRUE(starts.count(id) == 1) << "flow " << id << " has no start";
+  }
   sys.net().attach_trace(nullptr);
 }
 
