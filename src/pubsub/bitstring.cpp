@@ -31,19 +31,20 @@ BitString BitString::from_bytes(std::span<const std::uint8_t> data, std::size_t 
   out.len_ = bits;
   out.grow_words((bits + 63) / 64);
   std::uint64_t* w = out.words();
-  for (std::size_t i = 0; i < bits; ++i) {
-    const bool b = (data[i / 8] >> (7 - (i % 8))) & 1U;
-    if (b) w[i / 64] |= (1ULL << (63 - (i % 64)));
+  // Only the ⌈bits/8⌉ bytes that hold the string are read.
+  const std::size_t nbytes = (bits + 7) / 8;
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    w[i / 8] |= static_cast<std::uint64_t>(data[i]) << (56 - 8 * (i % 8));
   }
+  out.clear_tail();
   return out;
 }
 
 BitString BitString::from_uint(std::uint64_t value, std::size_t bits) {
   SSPS_ASSERT(bits <= 64);
   BitString out;
-  for (std::size_t i = 0; i < bits; ++i) {
-    out.push_back((value >> (bits - 1 - i)) & 1ULL);
-  }
+  out.len_ = bits;
+  if (bits > 0) out.sbo_[0] = value << (64 - bits);
   return out;
 }
 
@@ -63,8 +64,19 @@ void BitString::push_back(bool b) {
 }
 
 void BitString::append(const BitString& other) {
-  // Simple bit-by-bit append; labels are short, keys at most a few words.
-  for (std::size_t i = 0; i < other.len_; ++i) push_back(other.bit(i));
+  SSPS_ASSERT(&other != this);
+  const std::size_t at = len_ / 64;  // the word our next bit lands in
+  const std::size_t shift = len_ % 64;
+  const std::size_t src_words = other.word_count();
+  len_ += other.len_;
+  grow_words(word_count());
+  std::uint64_t* w = words();
+  const std::uint64_t* src = other.words();
+  for (std::size_t i = shift == 0 ? at : at + 1; i < word_count(); ++i) w[i] = 0;
+  for (std::size_t i = 0; i < src_words; ++i) {
+    w[at + i] |= src[i] >> shift;
+    if (shift != 0 && at + i + 1 < word_count()) w[at + i + 1] |= src[i] << (64 - shift);
+  }
 }
 
 BitString BitString::prefix(std::size_t k) const {
@@ -75,10 +87,13 @@ BitString BitString::prefix(std::size_t k) const {
   std::uint64_t* w = out.words();
   const std::size_t n = (k + 63) / 64;
   for (std::size_t i = 0; i < n; ++i) w[i] = words()[i];
-  // Clear bits past k in the last word.
-  const std::size_t rem = k % 64;
-  if (rem != 0 && n > 0) w[n - 1] &= ~0ULL << (64 - rem);
+  out.clear_tail();
   return out;
+}
+
+void BitString::clear_tail() {
+  const std::size_t rem = len_ % 64;
+  if (rem != 0) words()[len_ / 64] &= ~0ULL << (64 - rem);
 }
 
 BitString BitString::with_bit(bool b) const {
@@ -130,11 +145,19 @@ std::string BitString::to_string() const {
 }
 
 std::vector<std::uint8_t> BitString::to_bytes() const {
-  std::vector<std::uint8_t> out((len_ + 7) / 8, 0);
-  for (std::size_t i = 0; i < len_; ++i) {
-    if (bit(i)) out[i / 8] |= static_cast<std::uint8_t>(1U << (7 - (i % 8)));
-  }
+  std::vector<std::uint8_t> out((len_ + 7) / 8);
+  write_bytes(out);
   return out;
+}
+
+std::size_t BitString::write_bytes(std::span<std::uint8_t> out) const {
+  const std::size_t n = (len_ + 7) / 8;
+  SSPS_ASSERT(out.size() >= n);
+  const std::uint64_t* w = words();
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(w[i / 8] >> (56 - 8 * (i % 8)));
+  }
+  return n;
 }
 
 std::size_t BitString::hash_value() const noexcept {

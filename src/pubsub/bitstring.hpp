@@ -34,6 +34,7 @@ class BitString {
   bool bit(std::size_t i) const;
 
   void push_back(bool b);
+  /// Appends `other`, which must be a different object.
   void append(const BitString& other);
 
   /// The first k bits. Requires k <= size().
@@ -60,6 +61,10 @@ class BitString {
   /// length is hashed separately to keep ("0", "00") distinct.
   std::vector<std::uint8_t> to_bytes() const;
 
+  /// Writes the ⌈size()/8⌉ packed bytes of to_bytes() to the front of
+  /// `out`, which must hold them, and returns that count.
+  std::size_t write_bytes(std::span<std::uint8_t> out) const;
+
   /// Stable 64-bit hash of content (for hash maps).
   std::size_t hash_value() const noexcept;
 
@@ -81,6 +86,8 @@ class BitString {
   std::uint64_t* words() { return overflow_.empty() ? sbo_ : overflow_.data(); }
   /// Grows storage to `n` zero-initialized words (never shrinks).
   void grow_words(std::size_t n);
+  /// Zeroes the bits past len_ in the last word.
+  void clear_tail();
 
   std::uint64_t sbo_[kInlineWords] = {0, 0};
   std::vector<std::uint64_t> overflow_;

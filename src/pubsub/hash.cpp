@@ -1,15 +1,30 @@
 #include "pubsub/hash.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
+// x86 under GCC/Clang: the SHA-extension compression is compiled in, and
+// used when CPUID reports the extensions.
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define SSPS_X86_SHA 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
 #include "common/assert.hpp"
+#include "pubsub/sha256_compress.hpp"
 
 namespace ssps::pubsub {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 64> kRoundConstants = {
+using State = Sha256Compressions::State;
+
+constexpr State kInitialState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                                 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+
+alignas(16) constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -24,62 +39,196 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
 
 std::uint32_t rotr(std::uint32_t x, int k) { return std::rotr(x, k); }
 
+// The state words, big-endian. One byte-swapped word store each: the
+// byte-at-a-time form vectorizes into a long shuffle sequence.
+Digest to_digest(const State& state) {
+  Digest out;
+  for (int i = 0; i < 8; ++i) {
+    std::uint32_t word = state[i];
+    if constexpr (std::endian::native == std::endian::little) {
+      word = __builtin_bswap32(word);
+    }
+    std::memcpy(out.data() + 4 * i, &word, sizeof word);
+  }
+  return out;
+}
+
+#ifdef SSPS_X86_SHA
+
+#define SSPS_SHA_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+bool cpu_has_sha_ext() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return ssse3 && sse41 && sha;
+}
+
+// Rounds i..i+3. The state lives as (ABEF, CDGH) lane pairs, the layout
+// sha256rnds2 works on; each sha256rnds2 runs two rounds on the low half
+// of `w + K`, so the high half is shuffled down for the second call.
+SSPS_SHA_TARGET inline void rounds4(__m128i& abef, __m128i& cdgh, __m128i w, int i) {
+  const __m128i k = _mm_load_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[i]));
+  const __m128i wk = _mm_add_epi32(w, k);
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+}
+
+// W[t..t+3] for t = i+16 from w0..w3 = W[i..i+3] .. W[i+12..i+15]:
+// msg1 adds σ0(W[t-15]) to W[t-16], the alignr supplies W[t-7], and msg2
+// adds σ1(W[t-2]) (its last two lanes from the first two it computes).
+SSPS_SHA_TARGET inline __m128i schedule(__m128i w0, __m128i w1, __m128i w2, __m128i w3) {
+  const __m128i w_minus_7 = _mm_alignr_epi8(w3, w2, 4);
+  const __m128i partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), w_minus_7);
+  return _mm_sha256msg2_epu32(partial, w3);
+}
+
+// Four big-endian message words: byte-reverse each 32-bit lane.
+SSPS_SHA_TARGET inline __m128i load_words(const std::uint8_t* p) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  return _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), bswap);
+}
+
+SSPS_SHA_TARGET void compress_sha_ext(State& state, const std::uint8_t* blocks,
+                                      std::size_t count) {
+  // (A,B,C,D), (E,F,G,H) -> (ABEF, CDGH) in sha256rnds2's lane order
+  // (names list lanes high to low).
+  auto* words = reinterpret_cast<__m128i*>(state.data());
+  const __m128i cdab = _mm_shuffle_epi32(_mm_loadu_si128(words), 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(_mm_loadu_si128(words + 1), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w0 = load_words(blocks);
+    __m128i w1 = load_words(blocks + 16);
+    __m128i w2 = load_words(blocks + 32);
+    __m128i w3 = load_words(blocks + 48);
+    rounds4(abef, cdgh, w0, 0);
+    rounds4(abef, cdgh, w1, 4);
+    rounds4(abef, cdgh, w2, 8);
+    rounds4(abef, cdgh, w3, 12);
+    for (int i = 16; i < 64; i += 16) {
+      w0 = schedule(w0, w1, w2, w3);
+      rounds4(abef, cdgh, w0, i);
+      w1 = schedule(w1, w2, w3, w0);
+      rounds4(abef, cdgh, w1, i + 4);
+      w2 = schedule(w2, w3, w0, w1);
+      rounds4(abef, cdgh, w2, i + 8);
+      w3 = schedule(w3, w0, w1, w2);
+      rounds4(abef, cdgh, w3, i + 12);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  // Back to (A,B,C,D), (E,F,G,H).
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(words, _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(words + 1, _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#endif  // SSPS_X86_SHA
+
 }  // namespace
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c,
-             0x1f83d9ab, 0x5be0cd19},
-      buffer_{} {}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w;
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
+void Sha256Compressions::scalar(State& state, const std::uint8_t* blocks,
+                                std::size_t count) {
+  for (; count > 0; --count, blocks += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    auto [a, b, c, d, e, f, g, h] = state;
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  auto [a, b, c, d, e, f, g, h] = state_;
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
+
+Sha256::Compress Sha256Compressions::sha_ext() {
+#ifdef SSPS_X86_SHA
+  if (cpu_has_sha_ext()) return &compress_sha_ext;
+#endif
+  return nullptr;
+}
+
+Sha256::Compress Sha256Compressions::selected() {
+  static const Compress chosen = [] {
+    const Compress fast = sha_ext();
+    return fast != nullptr ? fast : &scalar;
+  }();
+  return chosen;
+}
+
+Sha256::Sha256() : Sha256(Sha256Compressions::selected()) {}
+
+Sha256::Sha256(Compress compress)
+    : compress_(compress), state_(kInitialState), buffer_{} {}
 
 Sha256& Sha256::update(std::span<const std::uint8_t> data) {
   SSPS_ASSERT(!finished_);
+  if (data.empty()) return *this;  // data() may be null: no memcpy from it
   total_bytes_ += data.size();
-  for (std::uint8_t byte : data) {
-    buffer_[buffered_++] = byte;
-    if (buffered_ == 64) {
-      process_block(buffer_.data());
-      buffered_ = 0;
-    }
+  const std::uint8_t* in = data.data();
+  std::size_t left = data.size();
+  if (buffered_ > 0) {
+    const std::size_t take = std::min(left, buffer_.size() - buffered_);
+    std::memcpy(buffer_.data() + buffered_, in, take);
+    buffered_ += take;
+    in += take;
+    left -= take;
+    if (buffered_ < buffer_.size()) return *this;
+    compress_(state_, buffer_.data(), 1);
+    buffered_ = 0;
+  }
+  // Whole blocks straight from the input; only the tail is buffered.
+  const std::size_t whole = left / 64;
+  if (whole > 0) {
+    compress_(state_, in, whole);
+    in += whole * 64;
+    left -= whole * 64;
+  }
+  if (left > 0) {
+    std::memcpy(buffer_.data(), in, left);
+    buffered_ = left;
   }
   return *this;
 }
@@ -96,24 +245,16 @@ Digest Sha256::finish() {
   // Padding: 0x80, zeros, 64-bit big-endian length.
   buffer_[buffered_++] = 0x80;
   if (buffered_ > 56) {
-    while (buffered_ < 64) buffer_[buffered_++] = 0;
-    process_block(buffer_.data());
+    std::memset(buffer_.data() + buffered_, 0, 64 - buffered_);
+    compress_(state_, buffer_.data(), 1);
     buffered_ = 0;
   }
-  while (buffered_ < 56) buffer_[buffered_++] = 0;
-  for (int i = 7; i >= 0; --i) {
-    buffer_[buffered_++] = static_cast<std::uint8_t>(bit_len >> (8 * i));
-  }
-  process_block(buffer_.data());
-
-  Digest out;
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
   for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(state_[i]);
+    buffer_[63 - i] = static_cast<std::uint8_t>(bit_len >> (8 * i));
   }
-  return out;
+  compress_(state_, buffer_.data(), 1);
+  return to_digest(state_);
 }
 
 Digest Sha256::digest(std::span<const std::uint8_t> data) {
@@ -143,21 +284,40 @@ std::uint64_t fnv1a64(std::string_view data) {
 }
 
 Digest hash_label(const BitString& label) {
-  Sha256 h;
-  const auto bytes = label.to_bytes();
+  // Input: the 8-byte little-endian bit length, then the packed label.
+  // Labels up to 256 bits (every trie label: m <= 256) pack on the stack.
+  std::array<std::uint8_t, 8 + 32> head{};
   const std::uint64_t bits = label.size();
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i) len_bytes[i] = static_cast<std::uint8_t>(bits >> (8 * i));
-  h.update(std::span<const std::uint8_t>(len_bytes.data(), len_bytes.size()));
-  h.update(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+  for (int i = 0; i < 8; ++i) head[i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  Sha256 h;
+  if (bits <= 256) {
+    const std::size_t n = label.write_bytes(std::span<std::uint8_t>(head).subspan(8));
+    h.update(std::span<const std::uint8_t>(head.data(), 8 + n));
+  } else {
+    const auto bytes = label.to_bytes();
+    h.update(std::span<const std::uint8_t>(head.data(), 8));
+    h.update(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
+  }
   return h.finish();
 }
 
 Digest hash_children(const Digest& left, const Digest& right) {
-  Sha256 h;
-  h.update(std::span<const std::uint8_t>(left.data(), left.size()));
-  h.update(std::span<const std::uint8_t>(right.data(), right.size()));
-  return h.finish();
+  // The 64-byte message fills one block, so its padding is a constant
+  // second block: 0x80, zeros, the 512-bit length.
+  static constexpr std::array<std::uint8_t, 64> kPadding = [] {
+    std::array<std::uint8_t, 64> pad{};
+    pad[0] = 0x80;
+    pad[62] = 512 >> 8;
+    return pad;
+  }();
+  std::array<std::uint8_t, 64> block{};
+  std::memcpy(block.data(), left.data(), left.size());
+  std::memcpy(block.data() + left.size(), right.data(), right.size());
+  State state = kInitialState;
+  const Sha256::Compress compress = Sha256Compressions::selected();
+  compress(state, block.data(), 1);
+  compress(state, kPadding.data(), 1);
+  return to_digest(state);
 }
 
 BitString publication_key(sim::NodeId origin, std::string_view payload, std::size_t m) {

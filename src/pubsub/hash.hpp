@@ -9,9 +9,16 @@
 //                               only collision resistance).
 // We implement SHA-256 from scratch (FIPS 180-4) for both, plus FNV-1a for
 // non-adversarial internal hashing.
+//
+// SHA-256 has two block compressions (pubsub/sha256_compress.hpp): the
+// portable FIPS 180-4 scalar rounds, and the x86 SHA-extension rounds
+// (sha256rnds2/msg1/msg2). The process selects one once, by CPUID; both
+// yield identical digests, so keys, trie shapes, wire bytes and reports
+// never depend on the CPU.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -28,6 +35,10 @@ using Digest = std::array<std::uint8_t, 32>;
 /// Incremental SHA-256 (FIPS 180-4).
 class Sha256 {
  public:
+  /// Folds `count` whole 64-byte blocks into the state.
+  using Compress = void (*)(std::array<std::uint32_t, 8>& state,
+                            const std::uint8_t* blocks, std::size_t count);
+
   Sha256();
 
   Sha256& update(std::span<const std::uint8_t> data);
@@ -41,8 +52,10 @@ class Sha256 {
   static Digest digest(std::string_view data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  friend struct Sha256Compressions;  // pins a compression (tests)
+  explicit Sha256(Compress compress);
 
+  Compress compress_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t total_bytes_ = 0;

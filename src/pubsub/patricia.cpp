@@ -133,8 +133,8 @@ Locate PatriciaTrie::locate(const BitString& label) const {
         out.node = NodeSummary{cur->label, cur->hash};
         out.is_leaf = cur->is_leaf();
         if (!cur->is_leaf()) {
-          out.children.push_back(NodeSummary{cur->child0->label, cur->child0->hash});
-          out.children.push_back(NodeSummary{cur->child1->label, cur->child1->hash});
+          out.children = {NodeSummary{cur->child0->label, cur->child0->hash},
+                          NodeSummary{cur->child1->label, cur->child1->hash}};
         }
       } else {
         // cur's label strictly extends the probe: cur is the minimal

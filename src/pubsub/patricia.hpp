@@ -9,6 +9,7 @@
 // resistance), which is what the CheckTrie anti-entropy exploits.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -57,8 +58,10 @@ struct Locate {
   /// For kExact: the node. For kExtension: the minimal extension c.
   NodeSummary node;
   bool is_leaf = false;
-  /// For kExact inner nodes: the two child summaries.
-  std::vector<NodeSummary> children;
+  /// For kExact inner nodes: the two child summaries (child 0, child 1).
+  /// Held inline: the common exact match with equal hashes never reads
+  /// them, so locating allocates nothing.
+  std::array<NodeSummary, 2> children;
 };
 
 /// The per-subscriber publication store v.T.

@@ -66,7 +66,9 @@ void PubSubProtocol::check_tuple(sim::NodeId sender, const NodeSummary& tuple) {
       if (loc.node.hash == tuple.hash) return;  // subtries identical: silence
       if (!loc.is_leaf) {
         // Case (ii): recurse into our children; the sender compares them.
-        sink_->emit<msg::CheckTrie>(sender, overlay_->self(), loc.children);
+        sink_->emit<msg::CheckTrie>(
+            sender, overlay_->self(),
+            std::vector<NodeSummary>(loc.children.begin(), loc.children.end()));
         return;
       }
       // Equal leaf labels always hash equally (hash = h(label)); reaching

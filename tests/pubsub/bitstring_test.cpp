@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hpp"
 
 namespace ssps::pubsub {
@@ -137,6 +140,85 @@ TEST(BitString, AppendConcatenates) {
   BitString a = BitString::from_string("110");
   a.append(BitString::from_string("011"));
   EXPECT_EQ(a.to_string(), "110011");
+}
+
+// The word-wise conversions against bit-by-bit references (push_back and
+// bit()), at lengths on both sides of every byte and word boundary.
+constexpr std::size_t kLengths[] = {0,   1,   7,   8,   9,   63,  64,
+                                    65,  127, 128, 129, 255, 256, 300};
+
+BitString random_bits(std::size_t n, ssps::Rng& rng) {
+  BitString b;
+  for (std::size_t i = 0; i < n; ++i) b.push_back(rng.chance(1, 2));
+  return b;
+}
+
+TEST(BitString, FromBytesMatchesBitwiseReference) {
+  ssps::Rng rng(21);
+  for (std::size_t n : kLengths) {
+    // Exactly ⌈n/8⌉ bytes (as the wire decoder passes), every padding bit
+    // set: from_bytes must read no further and ignore the padding.
+    std::vector<std::uint8_t> data((n + 7) / 8);
+    for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.next());
+    if (n % 8 != 0) data.back() |= static_cast<std::uint8_t>(0xFF >> (n % 8));
+    BitString expect;
+    for (std::size_t i = 0; i < n; ++i) {
+      expect.push_back((data[i / 8] >> (7 - i % 8)) & 1);
+    }
+    const BitString got = BitString::from_bytes(data, n);
+    EXPECT_EQ(got.to_string(), expect.to_string()) << n << " bits";
+    EXPECT_EQ(got, expect) << n << " bits";  // memcmp: padding bits are zero
+    EXPECT_EQ(got.hash_value(), expect.hash_value()) << n << " bits";
+  }
+}
+
+TEST(BitString, ToBytesAndWriteBytesMatchBitwiseReference) {
+  ssps::Rng rng(23);
+  for (std::size_t n : kLengths) {
+    const BitString b = random_bits(n, rng);
+    std::vector<std::uint8_t> expect((n + 7) / 8, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (b.bit(i)) expect[i / 8] |= static_cast<std::uint8_t>(0x80 >> (i % 8));
+    }
+    EXPECT_EQ(b.to_bytes(), expect) << n << " bits";
+    std::vector<std::uint8_t> out(expect.size() + 3, 0xEE);
+    ASSERT_EQ(b.write_bytes(out), expect.size());
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), out.begin())) << n << " bits";
+    EXPECT_EQ(out[expect.size()], 0xEE) << "wrote past the packed bytes";
+  }
+}
+
+TEST(BitString, FromUintMatchesBitwiseReference) {
+  ssps::Rng rng(24);
+  for (std::size_t n : kLengths) {
+    if (n > 64) continue;
+    const std::uint64_t value = rng.next() | (1ULL << 63);  // high bits set past n
+    BitString expect;
+    for (std::size_t i = 0; i < n; ++i) expect.push_back((value >> (n - 1 - i)) & 1);
+    const BitString got = BitString::from_uint(value, n);
+    EXPECT_EQ(got.to_string(), expect.to_string()) << n << " bits";
+    EXPECT_EQ(got, expect) << n << " bits";
+  }
+}
+
+TEST(BitString, AppendMatchesBitwiseReference) {
+  ssps::Rng rng(25);
+  for (std::size_t n : kLengths) {
+    for (std::size_t k : kLengths) {
+      const BitString head = random_bits(n, rng);
+      const BitString tail = random_bits(k, rng);
+      BitString expect = head;
+      for (std::size_t i = 0; i < k; ++i) expect.push_back(tail.bit(i));
+      BitString got = head;
+      got.append(tail);
+      EXPECT_EQ(got.to_string(), expect.to_string()) << n << " + " << k << " bits";
+      EXPECT_EQ(got, expect) << n << " + " << k << " bits";
+      // Still extendable bit by bit past the appended words.
+      got.push_back(true);
+      expect.push_back(true);
+      EXPECT_EQ(got, expect) << n << " + " << k << " bits, then one more";
+    }
+  }
 }
 
 }  // namespace

@@ -103,9 +103,10 @@ TEST(Patricia, FigureTwoStructure) {
   ASSERT_EQ(zero.kind, Locate::Kind::kExact);
   EXPECT_FALSE(zero.is_leaf);
   EXPECT_EQ(zero.node.hash, left);
-  ASSERT_EQ(zero.children.size(), 2u);
   EXPECT_EQ(zero.children[0].label.to_string(), "000");
+  EXPECT_EQ(zero.children[0].hash, h_p1);
   EXPECT_EQ(zero.children[1].label.to_string(), "010");
+  EXPECT_EQ(zero.children[1].hash, h_p2);
 
   // Inner node "10" with children P3/P4.
   const Locate ten = u.locate(BitString::from_string("10"));
