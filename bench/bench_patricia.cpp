@@ -1,7 +1,14 @@
 // Experiment E14 — micro-costs of the publication substrate: SHA-256
 // throughput, key derivation, Patricia insert/locate/prefix-harvest, and
-// the per-message digest work of the CheckTrie path (§4.2).
+// the per-message digest work of the CheckTrie path (§4.2) — plus the heap
+// cost of one stored (publication, replica) pair, the quantity that sizes
+// the whole system's memory (every subscriber stores every publication).
 #include <string>
+#include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "bench_common.hpp"
 #include "common/rng.hpp"
@@ -20,8 +27,42 @@ PatriciaTrie build_trie(std::size_t count) {
   return t;
 }
 
+/// Heap bytes in use, allocator overhead included; -1 without glibc.
+double heap_in_use() {
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd);
+#else
+  return -1;
+#endif
+}
+
+/// Heap bytes per stored publication: 2^18 (publication, replica) pairs
+/// with 32-byte payloads, as `keys` publications in each of 2^18 / keys
+/// tries (keys = 64: 4 096 tries, the steady-4k store). -1 without glibc.
+double heap_bytes_per_publication(std::size_t keys) {
+  const std::size_t tries = (std::size_t{1} << 18) / keys;
+  std::vector<Publication> pubs;
+  for (std::size_t i = 0; i < keys; ++i) {
+    std::string payload = "payload-" + std::to_string(i);
+    payload.resize(32, '.');
+    pubs.push_back(Publication{sim::NodeId{1 + (i % 16)}, std::move(payload)});
+  }
+  std::vector<PatriciaTrie> store(tries, PatriciaTrie(64));
+  const double before = heap_in_use();
+  // Publication-major, as replication fills the store: each publication
+  // reaches every trie before the next one does.
+  for (const Publication& p : pubs) {
+    for (PatriciaTrie& t : store) t.insert(p);
+  }
+  const double after = heap_in_use();
+  if (before < 0) return -1;
+  return (after - before) / static_cast<double>(tries * keys);
+}
+
 void print_experiment() {
-  Table table({"keys", "trie depth estimate", "insert cost basis"});
+  Table table({"keys", "trie depth estimate", "heap B / stored pub"});
+  scenario::Json series = scenario::Json::object();
   for (std::size_t keys : {64u, 1024u, 16384u}) {
     const PatriciaTrie t = build_trie(keys);
     // Probe depth: length of the walk to a random leaf label.
@@ -41,12 +82,16 @@ void print_experiment() {
       depth_sum += depth;
       ++probes;
     }
+    const double bytes = heap_bytes_per_publication(keys);
+    if (bytes >= 0) series[std::to_string(keys)] = bytes;
     table.add_row({Table::num(static_cast<std::uint64_t>(keys)),
                    Table::num(static_cast<double>(depth_sum) / static_cast<double>(probes), 1),
-                   "see timings below"});
+                   bytes < 0 ? "n/a" : Table::num(bytes, 1)});
   }
+  ssps::bench::result_json()["heap_bytes_per_publication"] = std::move(series);
   table.print(
-      "E14 — Patricia trie shape (expect: depth ~log2(keys); timings follow)");
+      "E14 — Patricia trie shape and memory (expect: depth ~log2(keys); heap per "
+      "stored publication over 2^18 replicas of 32-byte payloads; timings follow)");
 }
 
 void BM_Sha256(benchmark::State& state) {

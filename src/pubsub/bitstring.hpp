@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "common/assert.hpp"
+
 namespace ssps::pubsub {
 
 /// An immutable-ish bit string (mutation limited to push_back/append).
@@ -32,6 +34,13 @@ class BitString {
 
   /// The i-th bit, 0-indexed from the front (most significant).
   bool bit(std::size_t i) const;
+
+  /// Packed word i < ⌈size()/64⌉: bits [64i, 64i+63], bit 64i in the most
+  /// significant position; bits past size() read as zero.
+  std::uint64_t word(std::size_t i) const {
+    SSPS_ASSERT(i < word_count());
+    return words()[i];
+  }
 
   void push_back(bool b);
   /// Appends `other`, which must be a different object.

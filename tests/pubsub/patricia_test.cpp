@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace ssps::pubsub {
 namespace {
 
@@ -177,6 +179,78 @@ TEST(Patricia, CopyIsDeepAndEqual) {
   EXPECT_EQ(a.size(), 10u);
   EXPECT_EQ(b.size(), 11u);
   EXPECT_EQ(b.check_invariants(), "");
+}
+
+TEST(Patricia, CopyStaysUnchangedWhileOriginalGrows) {
+  PatriciaTrie original(64);
+  for (int i = 0; i < 32; ++i) {
+    original.insert(Publication{sim::NodeId{2}, std::to_string(i)});
+  }
+  const PatriciaTrie copy = original;
+  PatriciaTrie assigned(8);
+  assigned = original;
+  const Digest frozen = copy.root()->hash;
+  const auto frozen_pubs = copy.all();
+  for (int i = 32; i < 96; ++i) {
+    original.insert(Publication{sim::NodeId{3}, std::to_string(i)});
+  }
+  for (const PatriciaTrie* t : {&copy, static_cast<const PatriciaTrie*>(&assigned)}) {
+    EXPECT_EQ(t->key_bits(), 64u);
+    EXPECT_EQ(t->size(), 32u);
+    EXPECT_EQ(t->root()->hash, frozen);
+    EXPECT_EQ(t->all(), frozen_pubs);
+    EXPECT_EQ(t->check_invariants(), "");
+  }
+  EXPECT_EQ(original.size(), 96u);
+  EXPECT_EQ(original.check_invariants(), "");
+}
+
+TEST(Patricia, SelfAssignmentIsSafe) {
+  PatriciaTrie t(64);
+  for (int i = 0; i < 16; ++i) t.insert(Publication{sim::NodeId{1}, std::to_string(i)});
+  const Digest before = t.root()->hash;
+  PatriciaTrie& alias = t;
+  t = alias;
+  EXPECT_EQ(t.size(), 16u);
+  EXPECT_EQ(t.root()->hash, before);
+  t = std::move(alias);
+  EXPECT_EQ(t.size(), 16u);
+  EXPECT_EQ(t.root()->hash, before);
+  EXPECT_EQ(t.check_invariants(), "");
+}
+
+TEST(Patricia, MovedFromTrieIsEmptyAndReusable) {
+  PatriciaTrie source(64);
+  source.insert(Publication{sim::NodeId{1}, "a"});
+  source.insert(Publication{sim::NodeId{1}, "b"});
+  const Digest root = source.root()->hash;
+
+  PatriciaTrie constructed = std::move(source);
+  EXPECT_EQ(constructed.size(), 2u);
+  EXPECT_EQ(constructed.root()->hash, root);
+  // The moved-from trie is a valid empty trie that keeps its m.
+  EXPECT_EQ(source.size(), 0u);
+  EXPECT_TRUE(source.empty());
+  EXPECT_FALSE(source.root().has_value());
+  EXPECT_TRUE(source.all().empty());
+  EXPECT_EQ(source.locate(BitString{}).kind, Locate::Kind::kMiss);
+  EXPECT_EQ(source.check_invariants(), "");
+  EXPECT_EQ(source.key_bits(), 64u);
+  EXPECT_TRUE(source.insert(Publication{sim::NodeId{1}, "c"}));
+  EXPECT_EQ(source.size(), 1u);
+  EXPECT_EQ(source.check_invariants(), "");
+
+  PatriciaTrie assigned(64);
+  assigned.insert(Publication{sim::NodeId{9}, "overwritten"});
+  assigned = std::move(constructed);
+  EXPECT_EQ(assigned.size(), 2u);
+  EXPECT_EQ(assigned.root()->hash, root);
+  EXPECT_EQ(constructed.size(), 0u);
+  EXPECT_TRUE(constructed.empty());
+  EXPECT_FALSE(constructed.root().has_value());
+  EXPECT_EQ(constructed.check_invariants(), "");
+  EXPECT_TRUE(constructed.insert(Publication{sim::NodeId{1}, "a"}));
+  EXPECT_EQ(constructed.check_invariants(), "");
 }
 
 TEST(Patricia, RootHashChangesWithEveryInsert) {
