@@ -128,9 +128,12 @@ void BM_TwoPartySync(benchmark::State& state) {
       for (const NodeSummary& t : frontier) {
         const Locate loc = b.locate(t.label);
         ++exchanged;
-        if (loc.kind == Locate::Kind::kExact && loc.node.hash != t.hash) {
+        if (loc.kind == Locate::Kind::kExact && loc.hash() != t.hash) {
           const Locate mine = a.locate(t.label);
-          for (const auto& c : mine.children) next.push_back(c);
+          if (mine.kind == Locate::Kind::kExact && !mine.is_leaf) {
+            next.push_back(mine.children[0]);
+            next.push_back(mine.children[1]);
+          }
         }
       }
       frontier = std::move(next);

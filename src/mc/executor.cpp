@@ -54,7 +54,7 @@ Enabled Executor::enabled() {
   std::size_t first = 0;
   while (first < batch_ && consumed_[first]) ++first;
   if (first == batch_) return out;  // drained
-  const sim::NodeId target = branch_->slot(net, first).to;
+  const std::uint32_t target = branch_->slot(net, first).to;
   std::vector<std::vector<std::uint8_t>> seen;
   for (std::size_t i = first; i < batch_; ++i) {
     if (consumed_[i]) continue;
@@ -101,7 +101,7 @@ void Executor::replay(const Trace& trace) {
 std::vector<std::uint8_t> Executor::encode_envelope(
     const sim::Envelope& env) const {
   common::Encoder enc;
-  enc.u64(env.to.value);
+  enc.u64(env.to);
   enc.string(env.msg->name());
   const bool encodable = env.msg->encode(enc);
   SSPS_ASSERT_MSG(encodable,

@@ -58,12 +58,12 @@ std::uint64_t Replica::digest() {
 std::vector<Relay> Replica::collect_outbox(std::size_t shard) {
   std::vector<Relay> out;
   net().for_each_pending([&](const sim::Envelope& env) {
-    if (env.from.is_null()) return;
-    if (shard_of(env.from, procs_) != shard) return;
-    if (shard_of(env.to, procs_) == shard) return;  // process-local
+    if (env.from == 0) return;
+    if (shard_of(env.sender(), procs_) != shard) return;
+    if (shard_of(env.target(), procs_) == shard) return;  // process-local
     Relay relay;
-    relay.from = env.from.value;
-    relay.to = env.to.value;
+    relay.from = env.from;
+    relay.to = env.to;
     relay.seq = env.seq;
     if (!wire::encode_message(*env.msg, relay.frame)) return;
     out.push_back(std::move(relay));
@@ -84,7 +84,7 @@ const char* Replica::relay_check_name(RelayCheck c) {
 Replica::RelayCheck Replica::verify_relay(const Relay& relay) {
   const sim::Envelope* env =
       net().find_pending(sim::NodeId{relay.from}, relay.seq);
-  if (env == nullptr || env->to.value != relay.to) return RelayCheck::kUnknown;
+  if (env == nullptr || env->to != relay.to) return RelayCheck::kUnknown;
   std::vector<std::uint8_t> local;
   if (!wire::encode_message(*env->msg, local)) return RelayCheck::kMismatch;
   if (local != relay.frame) return RelayCheck::kMismatch;

@@ -23,7 +23,9 @@ bool bit_at(const BitString& s, std::size_t i) {
 
 }  // namespace
 
-struct PatriciaTrie::Node {
+struct detail::TrieNode {
+  using Node = TrieNode;
+
   Digest hash;
   // Inner nodes own both children; leaves own none and carry the
   // publication after their label words.
@@ -236,12 +238,30 @@ Locate PatriciaTrie::locate(const BitString& label) const {
   // shorter labels and were passed.
   out.kind = node->label_bits == label.size() ? Locate::Kind::kExact
                                               : Locate::Kind::kExtension;
-  out.node = node->summary();
+  out.node_ = node;
   out.is_leaf = node->is_leaf();
-  if (out.kind == Locate::Kind::kExact && !out.is_leaf) {
-    out.children = {node->child[0]->summary(), node->child[1]->summary()};
-  }
+  if (out.kind == Locate::Kind::kExact && !out.is_leaf) out.children.node_ = node;
   return out;
+}
+
+NodeSummary Locate::summary() const {
+  SSPS_ASSERT(node_ != nullptr);
+  return node_->summary();
+}
+
+const Digest& Locate::hash() const {
+  SSPS_ASSERT(node_ != nullptr);
+  return node_->hash;
+}
+
+bool Locate::label_bit(std::size_t i) const {
+  SSPS_ASSERT(node_ != nullptr && i < node_->label_bits);
+  return (node_->label()[i / 64] >> (63 - i % 64)) & 1;
+}
+
+NodeSummary Locate::Children::operator[](std::size_t b) const {
+  SSPS_ASSERT(node_ != nullptr && b < 2);
+  return node_->child[b]->summary();
 }
 
 const PatriciaTrie::Node* PatriciaTrie::descend(const BitString& label) const {

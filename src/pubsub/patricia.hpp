@@ -31,7 +31,7 @@
 // stored (publication, replica) pair became 207 B (bench_patricia E14).
 #pragma once
 
-#include <array>
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <vector>
@@ -68,21 +68,51 @@ struct NodeSummary {
   bool operator==(const NodeSummary&) const = default;
 };
 
+namespace detail {
+/// One trie node (a heap block; the layout is in the header comment).
+struct TrieNode;
+}  // namespace detail
+
 /// Result of locating a label in the trie (the three cases of CheckTrie).
-struct Locate {
+/// It carries the located node itself and builds summaries only when
+/// asked: the common exact match with equal digests reads the digest and
+/// nothing else, so it builds no label and loads neither child. Valid
+/// while the trie is not modified.
+class Locate {
+ public:
   enum class Kind {
     kExact,      ///< node with exactly this label exists
     kExtension,  ///< no exact node, but a minimal node whose label extends it
     kMiss,       ///< no key under this label at all
   };
+
+  /// The two child summaries of a kExact inner node, indexed like an
+  /// array (children[0], children[1]); each is built when indexed.
+  class Children {
+   public:
+    NodeSummary operator[](std::size_t b) const;
+
+   private:
+    friend class PatriciaTrie;
+    const detail::TrieNode* node_ = nullptr;
+  };
+
   Kind kind = Kind::kMiss;
-  /// For kExact: the node. For kExtension: the minimal extension c.
-  NodeSummary node;
   bool is_leaf = false;
-  /// For kExact inner nodes: the two child summaries (child 0, child 1).
-  /// Held inline: the common exact match with equal hashes never reads
-  /// them, so locating allocates nothing.
-  std::array<NodeSummary, 2> children;
+  /// Set for kExact inner nodes only.
+  Children children;
+
+  /// For kExact: the node's summary. For kExtension: the minimal
+  /// extension c's. Not for kMiss.
+  NodeSummary summary() const;
+  /// summary().hash, without building the label.
+  const Digest& hash() const;
+  /// Bit `i` of summary().label (i below its length), without building it.
+  bool label_bit(std::size_t i) const;
+
+ private:
+  friend class PatriciaTrie;
+  const detail::TrieNode* node_ = nullptr;
 };
 
 /// The per-subscriber publication store v.T.
@@ -140,8 +170,7 @@ class PatriciaTrie {
   bool chaos_corrupt_digest(std::uint64_t seed);
 
  private:
-  /// One heap block per node; the layout is in the header comment.
-  struct Node;
+  using Node = detail::TrieNode;
 
   const Node* descend(const BitString& label) const;
 

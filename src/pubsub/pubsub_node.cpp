@@ -63,12 +63,12 @@ void PubSubProtocol::check_tuple(sim::NodeId sender, const NodeSummary& tuple) {
   const Locate loc = trie_.locate(tuple.label);
   switch (loc.kind) {
     case Locate::Kind::kExact: {
-      if (loc.node.hash == tuple.hash) return;  // subtries identical: silence
+      if (loc.hash() == tuple.hash) return;  // subtries identical: silence
       if (!loc.is_leaf) {
         // Case (ii): recurse into our children; the sender compares them.
         sink_->emit<msg::CheckTrie>(
             sender, overlay_->self(),
-            std::vector<NodeSummary>(loc.children.begin(), loc.children.end()));
+            std::vector<NodeSummary>{loc.children[0], loc.children[1]});
         return;
       }
       // Equal leaf labels always hash equally (hash = h(label)); reaching
@@ -84,9 +84,9 @@ void PubSubProtocol::check_tuple(sim::NodeId sender, const NodeSummary& tuple) {
       // Case (iii)a: we have no node with this exact label but some node c
       // extends it ⇒ everything under label ∘ (1 − b1) is missing here,
       // where b1 is c's bit right after the probe label.
-      const bool b1 = loc.node.label.bit(tuple.label.size());
+      const bool b1 = loc.label_bit(tuple.label.size());
       sink_->emit<msg::CheckAndPublish>(sender, overlay_->self(),
-                                        std::vector<NodeSummary>{loc.node},
+                                        std::vector<NodeSummary>{loc.summary()},
                                         tuple.label.with_bit(!b1));
       return;
     }

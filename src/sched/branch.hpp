@@ -55,8 +55,7 @@ class BranchScheduler final : public Scheduler {
   /// Mirrors the crashed-target path: the message invokes no action and
   /// its pool slot is reclaimed.
   void discard(sim::Network& net, std::size_t i) {
-    const sim::Envelope& env = net.grouped_[i];
-    env.pool->destroy(env.msg, env.handle);
+    net.grouped_[i].destroy();
   }
 
   /// Finishes the round once every slot has been delivered or discarded:

@@ -26,6 +26,16 @@ namespace ssps::sim {
 /// compare plus a static downcast — instead of a dynamic_cast chain.
 class Message {
  public:
+  Message() = default;
+  /// Copies the type tags only: a copy (clone_into, a wire-decoded twin)
+  /// is a different pooled object, so it never inherits the original's
+  /// slot handle — the pool stamps the copy's own.
+  Message(const Message& o) : type_id_(o.type_id_), metrics_type_(o.metrics_type_) {}
+  Message& operator=(const Message& o) {
+    type_id_ = o.type_id_;
+    metrics_type_ = o.metrics_type_;
+    return *this;
+  }
   virtual ~Message() = default;
 
   /// Tag of the concrete class (see msg_type_id). 0 for legacy messages
@@ -39,6 +49,10 @@ class Message {
   /// it once per message, and the indirect call showed up in round-loop
   /// profiles.
   MsgTypeId metrics_type() const { return metrics_type_; }
+
+  /// Pooled address of this message (set by MessagePool::make); null for
+  /// messages constructed outside a pool (stack instances in tests).
+  MsgHandle pool_handle() const { return pool_handle_; }
 
   /// Stable action label, used as the metrics key (e.g. "SetData").
   virtual std::string_view name() const = 0;
@@ -91,7 +105,35 @@ class Message {
 
   MsgTypeId type_id_ = 0;
   MsgTypeId metrics_type_ = 0;
+
+ private:
+  friend class MessagePool;
+  /// The header is the vtable pointer, the two tags and this handle: 16
+  /// bytes, so no message changes size class for carrying its handle.
+  MsgHandle pool_handle_;
 };
+
+static_assert(sizeof(Message) == 16, "Message header must stay 16 bytes");
+
+inline MsgHandle PooledMsg::handle() const {
+  return ptr_ != nullptr ? ptr_->pool_handle() : MsgHandle{};
+}
+
+inline void MessagePool::stamp_handle(Message* msg, MsgHandle h) {
+  msg->pool_handle_ = h;
+}
+
+inline void MessagePool::destroy(Message* msg) {
+  const MsgHandle h = msg->pool_handle();
+  SSPS_ASSERT(!h.is_null());
+  msg->~Message();
+  FreeLane* lane = detail::tls_free_lane;
+  if (lane != nullptr && lane->own != this) [[unlikely]] {
+    lane->deferred.push_back(DeferredFree{this, h});
+    return;
+  }
+  reclaim(h);
+}
 
 /// CRTP shim that stamps the concrete type's tag into every instance
 /// (including stack-constructed ones in tests, not just pooled ones).

@@ -8,6 +8,7 @@ namespace detail {
 
 MsgTypeId allocate_msg_type_id() {
   static MsgTypeId next = 0;
+  SSPS_ASSERT_MSG(next < 0xffff, "msg_type_id: more than 65535 message types");
   return ++next;  // 0 stays "untagged"
 }
 
@@ -20,7 +21,7 @@ void PooledMsg::reset() {
   // itself; a nested owner's release must then be a no-op or the slot
   // would see its destructor twice.
   if (pool_ != nullptr && ptr_ != nullptr && !pool_->tearing_down()) {
-    pool_->destroy(ptr_, handle_);
+    pool_->destroy(ptr_);
   }
   forget();
 }
@@ -56,8 +57,6 @@ MessagePool::~MessagePool() {
     }
   }
 }
-
-void MessagePool::destroy_msg(Message* msg) { msg->~Message(); }
 
 std::uint32_t MessagePool::allocate_slot_slow(std::uint32_t cls, std::size_t bytes) {
   if (cls == kOversizeClass) {

@@ -4,8 +4,10 @@
 // std::unique_ptr; at n >= 1024 the malloc/free churn dominated the round
 // loop. The MessagePool replaces it with size-classed slabs and LIFO
 // freelists: a message lives in a pooled slot, is addressed by a 32-bit
-// MsgHandle (size class in the top bits, slot index below), and its slot
-// is recycled as soon as the message is delivered or its target crashes.
+// MsgHandle (size class in the top bits, slot index below) that the pool
+// stamps into the message's own header, and its slot is recycled as soon
+// as the message is delivered or its target crashes. Holders of a pooled
+// message therefore keep only the message pointer and its pool.
 //
 // Determinism: allocation order is a pure function of the make/destroy
 // call sequence (fresh slots are handed out sequentially, freed slots are
@@ -29,8 +31,10 @@ class MessagePool;
 
 /// Runtime type tag of a concrete Message class. Assigned lazily, one per
 /// instantiated type; valid ids are nonzero. Tags make message dispatch a
-/// single integer compare (see msg_cast) instead of a dynamic_cast.
-using MsgTypeId = std::uint32_t;
+/// single integer compare (see msg_cast) instead of a dynamic_cast. 16
+/// bits, so two tags and the pool handle fit beside the vtable pointer
+/// in a 16-byte Message header.
+using MsgTypeId = std::uint16_t;
 
 namespace detail {
 MsgTypeId allocate_msg_type_id();
@@ -93,25 +97,19 @@ extern thread_local FreeLane* tls_free_lane;
 }  // namespace detail
 
 /// Owning smart handle for a pooled message: unique_ptr semantics (move
-/// only, destroys the message and recycles its slot on scope exit), plus
-/// access to the underlying MsgHandle for code that stores messages
-/// compactly (the Network's channels).
+/// only, destroys the message and recycles its slot on scope exit). The
+/// slot's MsgHandle lives in the message header (Message::pool_handle).
 class PooledMsg {
  public:
   PooledMsg() = default;
-  PooledMsg(MessagePool* pool, Message* ptr, MsgHandle handle)
-      : pool_(pool), ptr_(ptr), handle_(handle) {}
+  PooledMsg(MessagePool* pool, Message* ptr) : pool_(pool), ptr_(ptr) {}
 
-  PooledMsg(PooledMsg&& o) noexcept
-      : pool_(o.pool_), ptr_(o.ptr_), handle_(o.handle_) {
-    o.forget();
-  }
+  PooledMsg(PooledMsg&& o) noexcept : pool_(o.pool_), ptr_(o.ptr_) { o.forget(); }
   PooledMsg& operator=(PooledMsg&& o) noexcept {
     if (this != &o) {
       reset();
       pool_ = o.pool_;
       ptr_ = o.ptr_;
-      handle_ = o.handle_;
       o.forget();
     }
     return *this;
@@ -125,30 +123,29 @@ class PooledMsg {
   Message& operator*() const { return *ptr_; }
   explicit operator bool() const { return ptr_ != nullptr; }
 
-  MsgHandle handle() const { return handle_; }
+  /// The pooled address of the held message (defined in message.hpp).
+  MsgHandle handle() const;
   MessagePool* pool() const { return pool_; }
 
   /// Destroys the held message (if any) and recycles its slot.
   void reset();
 
-  /// Releases ownership without destroying; returns the raw handle. The
+  /// Releases ownership without destroying; returns the message. The
   /// caller becomes responsible for MessagePool::destroy.
-  MsgHandle release() {
-    const MsgHandle h = handle_;
+  Message* release() {
+    Message* const m = ptr_;
     forget();
-    return h;
+    return m;
   }
 
  private:
   void forget() {
     pool_ = nullptr;
     ptr_ = nullptr;
-    handle_ = MsgHandle{};
   }
 
   MessagePool* pool_ = nullptr;
   Message* ptr_ = nullptr;
-  MsgHandle handle_ = MsgHandle{};
 };
 
 /// Size-classed slab allocator for messages. Owned by the Network; every
@@ -167,9 +164,10 @@ class MessagePool {
     const std::uint32_t cls = class_for(sizeof(T));
     const std::uint32_t slot = allocate_slot(cls, sizeof(T));
     T* msg = ::new (address_of(cls, slot)) T(std::forward<Args>(args)...);
+    stamp_handle(msg, MsgHandle::make(cls, slot));
     ++live_;
     ++total_allocated_;
-    return PooledMsg(this, msg, MsgHandle::make(cls, slot));
+    return PooledMsg(this, msg);
   }
 
   /// The message stored at `h` (must be live).
@@ -181,23 +179,12 @@ class MessagePool {
   /// parallel round phase a free into a pool this thread does not own is
   /// deferred to the thread's FreeLane and repatriated at the round
   /// barrier (the slot's live accounting moves with it, in reclaim()).
-  void destroy(MsgHandle h) { destroy(get(h), h); }
-
-  /// destroy() for callers that already hold the message pointer (the
-  /// Network's envelopes, PooledMsg). On a worker thread this avoids the
-  /// slab-table lookup of get(), which may race the owning thread growing
-  /// its own pool mid-phase; the destructor itself only touches the slot's
-  /// memory, which is exclusively this message's until reclaim().
-  void destroy(Message* msg, MsgHandle h) {
-    SSPS_ASSERT(!h.is_null());
-    destroy_msg(msg);
-    FreeLane* lane = detail::tls_free_lane;
-    if (lane != nullptr && lane->own != this) [[unlikely]] {
-      lane->deferred.push_back(DeferredFree{this, h});
-      return;
-    }
-    reclaim(h);
-  }
+  /// Takes the message, not its handle: on a worker thread the slab-table
+  /// lookup of get() may race the owning thread growing its own pool
+  /// mid-phase, while the destructor only touches the slot's memory,
+  /// which is exclusively this message's until reclaim(). Defined in
+  /// message.hpp (it reads the handle from the message header).
+  inline void destroy(Message* msg);
 
   /// Recycles a slot whose destructor already ran (the repatriation half
   /// of a deferred destroy). Must run on the thread that owns this pool —
@@ -253,7 +240,8 @@ class MessagePool {
     return kOversizeClass;
   }
 
-  static void destroy_msg(Message* msg);  // virtual dtor call (needs Message)
+  /// Writes a pooled message's handle into its header (message.hpp).
+  static inline void stamp_handle(Message* msg, MsgHandle h);
 
   std::uint32_t allocate_slot(std::uint32_t cls, std::size_t bytes) {
     if (cls != kOversizeClass) [[likely]] {
@@ -261,6 +249,12 @@ class MessagePool {
       if (!sc.free_list.empty()) [[likely]] {
         const std::uint32_t slot = sc.free_list.back();
         sc.free_list.pop_back();
+        // The slot handed out next was freed long ago (the timeout sweep
+        // recycles slots a round's deliveries released) and has left the
+        // cache; start pulling it in now, for writing.
+        if (!sc.free_list.empty()) [[likely]] {
+          __builtin_prefetch(address_of(cls, sc.free_list.back()), 1);
+        }
         return slot;
       }
     }

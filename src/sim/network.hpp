@@ -12,12 +12,18 @@
 //
 // Large-n layout: nodes live in one dense vector indexed by NodeId (a
 // crashed node leaves a tombstone slot), and all channels share one
-// append-only in-flight buffer of pooled message handles — a send is a
-// sequential push, and the synchronous scheduler turns the whole buffer
-// into the round's shuffled delivery batch with a single swap. Delivery
-// order is a canonical function of (seed, call sequence) — independent of
+// append-only in-flight buffer of 32-byte envelopes (32-bit target and
+// sender ids, the pooled message, its pool, the canonical send seq) — a
+// send is a sequential push, and the synchronous scheduler turns the whole
+// buffer into the round's delivery batch with a single swap. The batch's
+// seeded Fisher–Yates shuffle runs over a 4-byte position array, with the
+// draws an envelope shuffle would make, and one fused pass then gathers
+// the envelopes in shuffled order straight into a by-target counting sort:
+// each envelope is read once and written once per round. Delivery order
+// is a canonical function of (seed, call sequence) — independent of
 // container internals, so runs replay bit-for-bit on any standard
-// library.
+// library. Scheduling state that only one scheduler reads stays out of the
+// envelope: the async scheduler keeps send steps in its own side vector.
 //
 // Synchronous rounds execute behind a Scheduler seam (src/sched): the
 // default sched::SerialScheduler runs the round on the calling thread;
@@ -78,34 +84,45 @@ struct AsyncConfig {
   static constexpr Step kProbeStride = 64;
 };
 
-/// One in-flight message (internal to the sim/sched layer). All
-/// undelivered messages live in flat vectors ("lanes"), not in per-node
-/// queues: sends append sequentially (cache-friendly), and the round
-/// scheduler turns the merged lanes into the next round's shuffled
-/// delivery batch. `pool` is the arena the message was allocated from —
-/// under the parallel scheduler each worker allocates from its own pool,
-/// so the envelope must remember its origin to recycle the slot.
+/// One in-flight message (internal to the sim/sched layer): 32 bytes.
+/// All undelivered messages live in flat vectors ("lanes"), not in
+/// per-node queues: sends append sequentially (cache-friendly), and the
+/// round scheduler turns the merged lanes into the next round's shuffled
+/// delivery batch. Every round moves each envelope from the in-flight
+/// lane to the batch and scatters it once into the grouped delivery
+/// array, so its size is the round core's memory traffic.
 struct Envelope {
-  NodeId to;
-  /// Sender attribution: the node whose action executed the send, or null
-  /// for harness-originated traffic (publishes, injections, control
-  /// plane). Always maintained, under every scheduler. The timed scheduler
-  /// keys link selection and fault exemption on it, and the multi-process
-  /// deployment shards in-flight messages by it; round and async delivery
-  /// never read it (they key on `to`), so no delivery decision depends on
-  /// it.
-  NodeId from;
+  /// Target: the id value (slot number + 1) of an alive node. 32 bits,
+  /// since register_node keeps the slot count below 2^32.
+  std::uint32_t to = 0;
+  /// Sender attribution: the id value of the node whose action executed
+  /// the send, or 0 for harness-originated traffic (publishes,
+  /// injections, control plane). Always maintained, under every
+  /// scheduler. The timed scheduler keys link selection and fault
+  /// exemption on it, and the multi-process deployment shards in-flight
+  /// messages by it; round and async delivery never read it (they key on
+  /// `to`), so no delivery decision depends on it.
+  std::uint32_t from = 0;
+  /// The message; its pool slot handle sits in its header.
   Message* msg = nullptr;
+  /// The arena the message was allocated from: under the parallel
+  /// scheduler each worker allocates from its own pool (and the
+  /// deployment substitutes messages from its relay pool), so the
+  /// envelope must remember its origin to recycle the slot.
   MessagePool* pool = nullptr;
-  MsgHandle handle;
-  Step sent_at = 0;
   /// Canonical send order, stamped on the main lane only (worker-lane
   /// envelopes get 0; the round-barrier merge order already reproduces
   /// send order for those). Monotone and never reused: the async
-  /// scheduler's oldest-first index and the timed scheduler's
-  /// equal-deadline tie-break both key on it.
+  /// scheduler's oldest-first index, the timed scheduler's equal-deadline
+  /// tie-break, trace flow ids and the deployment's relay keys use it.
   std::uint64_t seq = 0;
+
+  NodeId target() const { return NodeId{to}; }
+  NodeId sender() const { return NodeId{from}; }
+  /// Recycles the message's pool slot (the message invokes no action).
+  void destroy() const { pool->destroy(msg); }
 };
+static_assert(sizeof(Envelope) <= 32, "Envelope must stay within 32 bytes");
 
 /// Where the current thread's sends go: the in-flight lane that receives
 /// the envelope, the Metrics shard that accounts it, and the MessagePool
@@ -259,7 +276,7 @@ class Network {
       return;
     }
     const Envelope& env = enqueue(ctx, to, std::move(msg));
-    if (trace_ != nullptr) [[unlikely]] trace_send(env.from, to, *env.msg, env.seq + 1);
+    if (trace_ != nullptr) [[unlikely]] trace_send(env.sender(), to, *env.msg, env.seq + 1);
   }
 
   /// Allocates a T from the pool and sends it: the one-line send path for
@@ -332,6 +349,11 @@ class Network {
   /// bounds in AsyncConfig. Returns the number of messages delivered by
   /// the step (0 or 1).
   std::size_t step();
+
+  /// Age in steps of the oldest in-flight round-lane message, as the
+  /// asynchronous scheduler's oldest-first index sees it (0 when nothing
+  /// is pending). Introspection for fairness tests; no rng draws.
+  Step oldest_pending_age();
 
   /// Runs `k` async steps, sampling an attached probe every
   /// AsyncConfig::kProbeStride steps, without installing the async
@@ -494,7 +516,7 @@ class Network {
   const Envelope* find_pending(NodeId from, std::uint64_t seq) const;
 
   /// Swaps the payload of the in-flight envelope stamped (from, seq) for
-  /// `msg`, keeping the envelope's routing fields (to, sent_at, seq).
+  /// `msg`, keeping the envelope's routing fields (to, from, seq).
   /// The deployment transport uses this to substitute the bytes that
   /// actually travelled the socket for the replica-generated message —
   /// delivery then consumes the wire-decoded object. Returns false if no
@@ -528,22 +550,21 @@ class Network {
   };
 
   /// One scheduled delivery on the timed event heap: the envelope plus
-  /// its virtual delivery time. Equal-time events pop in send (`seq`)
+  /// its virtual delivery time. Equal-time events pop in send (`env.seq`)
   /// order — the deterministic tie-break that makes the constant-latency
   /// special case reproduce the round batch order exactly.
   struct TimedEvent {
     Step at = 0;
-    std::uint64_t seq = 0;
     Envelope env;
   };
   /// Min-heap "later than" comparator for std::push_heap/pop_heap.
   static bool timed_event_later(const TimedEvent& a, const TimedEvent& b) {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    return a.at != b.at ? a.at > b.at : a.env.seq > b.env.seq;
   }
 
   /// Lazy oldest-first index entries of the async scheduler (see step()):
-  /// validated against pending_ on pop, so swap-removes and round swaps
-  /// never have to eagerly fix the heaps.
+  /// validated against pending_ and async_sent_at_ on pop, so
+  /// swap-removes never have to eagerly fix the heap.
   struct MsgHeapEntry {
     Step sent_at = 0;
     std::uint64_t seq = 0;
@@ -583,16 +604,15 @@ class Network {
 
   const Envelope& enqueue(SendContext& ctx, NodeId to, PooledMsg&& msg) {
     Envelope env;
-    env.to = to;
-    env.from = ctx.acting;
-    env.msg = msg.get();
+    // Both ids are alive-node ids, below 2^32 (see register_node).
+    env.to = static_cast<std::uint32_t>(to.value);
+    env.from = static_cast<std::uint32_t>(ctx.acting.value);
     env.pool = msg.pool();
-    env.sent_at = step_;
+    env.msg = msg.release();
     // The canonical send counter lives on the main lane; worker lanes are
     // merged in send-reproducing order anyway, and a shared counter would
     // be a cross-thread write on the parallel hot path.
     if (ctx.lane == &pending_) env.seq = next_send_seq_++;
-    env.handle = msg.release();
     return ctx.lane->emplace_back(env);
   }
 
@@ -656,8 +676,16 @@ class Network {
 
   // ---- Async oldest-first index (see step()) ---------------------------
 
-  /// Appends heap entries for pending_ envelopes not yet indexed.
-  void sync_msg_heap();
+  /// Indexes the pending_ envelopes not yet in the oldest-first heap,
+  /// recording `sent_at` as their send step. Every envelope appended
+  /// since the last sync was sent at one step: the current one, or, once
+  /// step() has advanced the clock, the previous one.
+  void sync_msg_heap(Step sent_at);
+  /// Forgets the oldest-first index (pending_ was emptied wholesale).
+  void clear_msg_index() {
+    async_msg_heap_.clear();
+    async_sent_at_.clear();
+  }
   /// Oldest pending message as (age, index), or age 0 when none pending.
   std::pair<Step, std::size_t> oldest_pending();
   /// Stalest alive Timeout as (idle, slot), or {0, nullptr} when none is
@@ -719,8 +747,10 @@ class Network {
   /// are validated on pop (see step()), so structural churn just leaves
   /// stale entries behind instead of forcing eager rebuilds.
   std::vector<MsgHeapEntry> async_msg_heap_;
-  /// pending_ entries [0, async_synced_) already have heap entries.
-  std::size_t async_synced_ = 0;
+  /// Send step of pending_[i], for the indexed prefix [0, size()) of
+  /// pending_ (the envelope itself carries no send time). Kept in step
+  /// with pending_ by deliver_at and drop_pending_for.
+  std::vector<Step> async_sent_at_;
   std::vector<TimeoutHeapEntry> async_timeout_heap_;
   /// False after bulk last_timeout churn (a round's timeout sweep) or a
   /// spawn; step() rebuilds the heap once on demand.
@@ -757,9 +787,12 @@ class Network {
   // scatter target is a raw array, not a vector: every cell in [0, batch)
   // is overwritten by the counting sort each round, so element lifetime
   // bookkeeping (and the re-zeroing a vector resize would do) is pure
-  // overhead — and no pooled handle ever outlives the delivery loop here,
-  // so the destructor has nothing to reclaim from it.
+  // overhead — and no pooled message ever outlives the delivery loop
+  // here, so the destructor has nothing to reclaim from it.
   std::vector<Envelope> round_batch_;
+  /// The seeded permutation of round_batch_ positions (Fisher–Yates over
+  /// 4-byte positions instead of 32-byte envelopes).
+  std::vector<std::uint32_t> round_order_;
   std::unique_ptr<Envelope[]> grouped_;
   std::size_t grouped_cap_ = 0;
   std::vector<std::uint32_t> scatter_offsets_;

@@ -36,7 +36,9 @@ TEST_P(RouterSweep, AllSampledRoutesTerminateWithinDiameterBound) {
     const Label& b = order[rng.pick_index(order)];
     const int hops = spec.route(a, b, nullptr);
     EXPECT_LE(hops, bound) << "n=" << n << " " << a.to_string() << "->" << b.to_string();
-    if (!(a == b)) EXPECT_GE(hops, 1);
+    if (!(a == b)) {
+      EXPECT_GE(hops, 1);
+    }
   }
 }
 

@@ -76,7 +76,11 @@ class Model {
     const NodeSummary node = run_summary(run);
     const bool exact = node.label.size() == probe.size();
     EXPECT_EQ(loc.kind, exact ? Locate::Kind::kExact : Locate::Kind::kExtension);
-    EXPECT_EQ(loc.node, node);
+    EXPECT_EQ(loc.summary(), node);
+    EXPECT_EQ(loc.hash(), node.hash);
+    for (std::size_t i = 0; i < node.label.size(); ++i) {
+      EXPECT_EQ(loc.label_bit(i), node.label.bit(i));
+    }
     EXPECT_EQ(loc.is_leaf, run.size() == 1);
     EXPECT_EQ(t.contains_key(probe), exact && run.size() == 1);
     if (exact && run.size() > 1) {

@@ -113,8 +113,8 @@ TEST_P(PatriciaProperty, LocateAgreesWithGroundTruth) {
     } else {
       EXPECT_NE(loc.kind, Locate::Kind::kMiss) << probe.to_string();
       if (loc.kind == Locate::Kind::kExtension) {
-        EXPECT_TRUE(probe.is_prefix_of(loc.node.label));
-        EXPECT_GT(loc.node.label.size(), probe.size());
+        EXPECT_TRUE(probe.is_prefix_of(loc.summary().label));
+        EXPECT_GT(loc.summary().label.size(), probe.size());
       }
     }
   }

@@ -104,7 +104,7 @@ TEST(Patricia, FigureTwoStructure) {
   const Locate zero = u.locate(BitString::from_string("0"));
   ASSERT_EQ(zero.kind, Locate::Kind::kExact);
   EXPECT_FALSE(zero.is_leaf);
-  EXPECT_EQ(zero.node.hash, left);
+  EXPECT_EQ(zero.hash(), left);
   EXPECT_EQ(zero.children[0].label.to_string(), "000");
   EXPECT_EQ(zero.children[0].hash, h_p1);
   EXPECT_EQ(zero.children[1].label.to_string(), "010");
@@ -113,7 +113,7 @@ TEST(Patricia, FigureTwoStructure) {
   // Inner node "10" with children P3/P4.
   const Locate ten = u.locate(BitString::from_string("10"));
   ASSERT_EQ(ten.kind, Locate::Kind::kExact);
-  EXPECT_EQ(ten.node.hash, right);
+  EXPECT_EQ(ten.hash(), right);
 }
 
 TEST(Patricia, FigureTwoSubscriberVHasCompressedEdge) {
@@ -126,7 +126,7 @@ TEST(Patricia, FigureTwoSubscriberVHasCompressedEdge) {
   v.insert(fx.pub_with_key("100"));
   const Locate ten = v.locate(BitString::from_string("10"));
   ASSERT_EQ(ten.kind, Locate::Kind::kExtension);
-  EXPECT_EQ(ten.node.label.to_string(), "100");
+  EXPECT_EQ(ten.summary().label.to_string(), "100");
   EXPECT_TRUE(ten.is_leaf);
 }
 
@@ -144,7 +144,7 @@ TEST(Patricia, LocateThreeCases) {
   // Extension: the empty probe extends to the root node "0".
   const Locate ext = t.locate(BitString{});
   EXPECT_EQ(ext.kind, Locate::Kind::kExtension);
-  EXPECT_EQ(ext.node.label.to_string(), "0");
+  EXPECT_EQ(ext.summary().label.to_string(), "0");
   // Miss: nothing under "1".
   EXPECT_EQ(t.locate(BitString::from_string("1")).kind, Locate::Kind::kMiss);
   // Miss: divergence inside a compressed edge ("001" vs leaf "000").

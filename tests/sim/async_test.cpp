@@ -111,6 +111,40 @@ TEST(AsyncScheduler, FixedSeedPickSequenceIsPinned) {
   EXPECT_EQ(net.node_as<StepProbe>(c).timeouts, 29);
 }
 
+TEST(AsyncScheduler, CrashKeepsTheSendStepsOfSurvivingMessages) {
+  // The oldest-first index keeps each pending message's send step beside
+  // pending_. Crashing a node compacts pending_; the survivors must keep
+  // their true send steps, or the fairness bound would restart from the
+  // crash for every one of them.
+  Network net(21);
+  const NodeId a = net.spawn<StepProbe>();
+  const NodeId b = net.spawn<StepProbe>();
+  const NodeId c = net.spawn<StepProbe>();
+  // Only forced (overdue) deliveries: every free step prefers a Timeout.
+  net.async_config().timeout_bias = 256;
+  net.async_config().max_message_age = 50;
+  net.emit<StepPing>(c, 1);
+  net.emit<StepPing>(a, 2);  // the oldest survivor, sent at step 0
+  net.run_steps(10);
+  net.emit<StepPing>(c, 3);
+  net.emit<StepPing>(b, 4);
+  net.run_steps(20);
+  ASSERT_EQ(net.pending_messages(), 4u);
+  const Step before = net.oldest_pending_age();
+  EXPECT_EQ(before, 30u);
+  net.crash(c);  // unrelated to a: moves b's message down two slots
+  EXPECT_EQ(net.pending_messages(), 2u);
+  EXPECT_EQ(net.oldest_pending_age(), before);
+  // The message to a is due once its age exceeds 50: at step 51, not 50
+  // steps after the crash.
+  net.run_steps(20);
+  EXPECT_EQ(net.pending_for(a), 1u);
+  net.run_steps(1);
+  EXPECT_EQ(net.pending_for(a), 0u);
+  EXPECT_EQ(net.node_as<StepProbe>(a).received, (std::vector<int>{2}));
+  EXPECT_EQ(net.oldest_pending_age(), 41u);  // b's message, sent at step 10
+}
+
 TEST(AsyncScheduler, InstallingItPutsClockNowOnTheStepClock) {
   // clock_now() (and with it latency/telemetry stamps) is the installed
   // scheduler's unit clock: installing AsyncScheduler moves it from the
@@ -162,7 +196,7 @@ TEST(AsyncScheduler, TimeoutSendsAreAttributedToTheTimingOutNode) {
   }
   EXPECT_GT(sends, 10u);
   net.for_each_pending(
-      [&](const Envelope& env) { EXPECT_EQ(env.from.value, a.value); });
+      [&](const Envelope& env) { EXPECT_EQ(env.sender(), a); });
   // Harness sends stay unattributed.
   for (const TraceEvent& e : trace.filter("StepPing")) {
     if (e.kind == TraceEventKind::kSend) {

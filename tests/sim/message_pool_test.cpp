@@ -167,6 +167,78 @@ TEST(MessagePool, HandleOrderIsDeterministicUnderReplay) {
   EXPECT_EQ(first, run(11));
 }
 
+/// Counts its live instances, so a test can prove that every message was
+/// destroyed exactly once, whichever pool it lived in.
+struct Counted final : MsgBase<Counted> {
+  static inline int live = 0;
+  int hops = 0;
+  explicit Counted(int h) : hops(h) { ++live; }
+  Counted(const Counted& o) : MsgBase(o), hops(o.hops) { ++live; }
+  ~Counted() override { --live; }
+  std::string_view name() const override { return "Counted"; }
+};
+
+/// Forwards every Counted to `next` with one hop less, until none are left.
+struct Forwarder final : Node {
+  void handle(PooledMsg msg) override {
+    const auto* c = msg_cast<Counted>(*msg);
+    if (c != nullptr && c->hops > 0 && next) net().emit<Counted>(next, c->hops - 1);
+  }
+  void timeout() override {}
+  NodeId next = NodeId::null();
+};
+
+TEST(MessagePool, InFlightMessagesSurviveSchedulerSwitchCrashAndRelaySwap) {
+  // In-flight envelopes name the pool that owns their message: the
+  // Network's, a parallel worker's (also after its scheduler retired), or
+  // an outside pool like the deployment's relay pool, whose decoded
+  // copies replace_pending_message swaps in (Replica::apply_relay). Every
+  // message must be delivered or reclaimed through its own pool exactly
+  // once, including the ones still in flight when the Network dies.
+  Counted::live = 0;
+  MessagePool relay;  // outlives the Network, like Replica::relay_pool_
+  {
+    Network net(5);
+    std::vector<NodeId> ids;
+    for (int i = 0; i < 8; ++i) ids.push_back(net.spawn<Forwarder>());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      net.node_as<Forwarder>(ids[i]).next = ids[(i + 1) % ids.size()];
+      net.emit<Counted>(ids[i], 60);
+    }
+    // Swaps the harness message stamped `seq` for a relay-pool copy.
+    auto swap_in_relay_copy = [&](NodeId to) {
+      net.emit<Counted>(to, 60);
+      std::uint64_t seq = 0;
+      net.for_each_pending([&](const Envelope& env) {
+        if (env.target() == to && env.from == 0) seq = env.seq;
+      });
+      ASSERT_TRUE(net.replace_pending_message(NodeId::null(), seq,
+                                              relay.make<Counted>(60)));
+    };
+
+    net.set_threads(2);
+    net.run_rounds(3);  // the in-flight messages now live in worker pools
+    net.set_threads(1);  // retires the parallel scheduler under them
+    EXPECT_EQ(net.pending_messages(), 8u);
+    net.crash(ids[3]);  // reclaims into a retired worker pool
+    swap_in_relay_copy(ids[0]);
+    EXPECT_EQ(relay.live(), 1u);
+    net.run_rounds(2);
+    EXPECT_EQ(relay.live(), 0u);  // delivered, and recycled into its own pool
+    EXPECT_GT(net.metrics().sent("Counted"), 0u);
+
+    net.set_threads(2);
+    net.run_round();
+    net.set_threads(1);
+    swap_in_relay_copy(ids[5]);
+    EXPECT_GT(net.pending_messages(), 1u);
+    EXPECT_EQ(relay.live(), 1u);
+    EXPECT_EQ(Counted::live, static_cast<int>(net.pending_messages()));
+  }  // in flight: messages in retired worker pools and in the relay pool
+  EXPECT_EQ(relay.live(), 0u);
+  EXPECT_EQ(Counted::live, 0);
+}
+
 TEST(MessagePool, ScrambledStartAtN256IsCleanAndConverges) {
   // The arbitrary-state injector exercises every message type, enveloped
   // junk, chaos databases and channel garbage. Run it at n = 256 and

@@ -115,5 +115,27 @@ TEST(Rng, ReseedRestartsDeterministically) {
   EXPECT_EQ(a.next(), x1);
 }
 
+// The round core shuffles a position array and gathers the envelopes
+// through it; that must be the permutation shuffling them would make.
+TEST(Rng, ShufflingPositionsThenGatheringEqualsShufflingValues) {
+  for (std::uint64_t seed : {1ULL, 7ULL, 9001ULL}) {
+    for (std::size_t n : {0u, 1u, 2u, 3u, 17u, 1000u}) {
+      std::vector<std::uint64_t> values(n);
+      for (std::size_t i = 0; i < n; ++i) values[i] = i * 0x9e3779b97f4a7c15ULL + seed;
+      std::vector<std::uint32_t> positions(n);
+      for (std::size_t i = 0; i < n; ++i) positions[i] = static_cast<std::uint32_t>(i);
+      std::vector<std::uint64_t> shuffled = values;
+      Rng a(seed);
+      Rng b(seed);
+      a.shuffle(shuffled);
+      b.shuffle(positions);
+      std::vector<std::uint64_t> gathered(n);
+      for (std::size_t k = 0; k < n; ++k) gathered[k] = values[positions[k]];
+      EXPECT_EQ(gathered, shuffled) << "seed " << seed << " n " << n;
+      EXPECT_EQ(a.next(), b.next());  // the same number of draws
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ssps
