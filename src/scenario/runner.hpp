@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "oracle/invariants.hpp"
 #include "pubsub/topics.hpp"
+#include "sched/timed.hpp"
 #include "scenario/report.hpp"
 #include "scenario/spec.hpp"
 #include "sim/failure_detector.hpp"
@@ -41,6 +42,11 @@ class ScenarioRunner {
 
   const ScenarioSpec& spec() const { return spec_; }
   const ScenarioReport& report() const { return report_; }
+
+  /// The installed timed scheduler (virtual clock, partition schedule,
+  /// link-fault counters), or null unless the spec selects
+  /// Scheduler::kTimed.
+  const sched::TimedScheduler* timed() const { return timed_; }
 
   /// One full invariant-oracle sweep over the current deployment state
   /// (either mode). The runner calls this at phase end when the spec asks
@@ -124,8 +130,11 @@ class ScenarioRunner {
 
   /// Corrupting-link damage model (wire/corrupt.hpp), installed when a
   /// timed spec sets a nonzero LinkProfile::corrupt on any link class.
-  /// Owned here; the network holds a raw pointer for the run's lifetime.
+  /// Owned here; the timed scheduler holds a raw pointer for the run's
+  /// lifetime (declared before the deployments, so it outlives them).
   std::unique_ptr<wire::CodecCorrupter> corrupter_;
+  /// The timed scheduler installed on the network (owned by it), or null.
+  sched::TimedScheduler* timed_ = nullptr;
   /// Single-topic crash log in crash order; ChurnWave::recoveries
   /// restarts from the front (oldest crash first).
   std::vector<sim::NodeId> crashed_single_;

@@ -49,6 +49,13 @@ class HookScheduler final : public Scheduler {
   }
   void flush_metrics(sim::Network& net) override { inner_->flush_metrics(net); }
   void retire() override { inner_->retire(); }
+  void for_each_held(
+      const std::function<void(const sim::Envelope&)>& fn) const override {
+    inner_->for_each_held(fn);
+  }
+  void drop_for(sim::Network& net, sim::NodeId to) override {
+    inner_->drop_for(net, to);
+  }
   unsigned threads() const override { return inner_->threads(); }
   std::string_view name() const override { return inner_->name(); }
   std::size_t reserved_bytes() const override { return inner_->reserved_bytes(); }

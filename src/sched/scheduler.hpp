@@ -2,12 +2,12 @@
 //
 // sim::Network::run_unit() delegates to the installed Scheduler, which
 // executes one *schedule unit* — a synchronous round (a timed interval is
-// one round of virtual time) or a single asynchronous step — through the
-// Network's phase helpers
-// (round_begin / deliver_grouped_range / timeout_sweep / round_end, or
-// step / timed_interval). All four execution modes (serial, parallel,
-// async, timed) sit behind this one virtual seam; front-ends like the
-// ScenarioRunner never special-case a mode again.
+// one round of virtual time) or a single asynchronous step. Round
+// schedulers drive the Network's phase helpers (round_begin /
+// deliver_grouped_range / timeout_sweep / round_end); the timed and async
+// schedulers own their engines (timed.hpp, async.hpp). All four execution
+// modes (serial, parallel, async, timed) sit behind this one virtual
+// seam; front-ends like the ScenarioRunner never special-case a mode again.
 //
 // The contract every implementation must honor: for a fixed (seed, call
 // sequence), the delivery trace — which message reaches which node in
@@ -21,10 +21,14 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string_view>
+
+#include "sim/types.hpp"
 
 namespace ssps::sim {
 class Network;
+struct Envelope;
 }  // namespace ssps::sim
 
 namespace ssps::sched {
@@ -75,6 +79,25 @@ class Scheduler {
   /// implementations release everything else (the parallel scheduler
   /// joins its worker threads here).
   virtual void retire() {}
+
+  /// Calls fn on every in-flight envelope this scheduler holds outside the
+  /// Network's lane (the timed engine's event heap). The Network counts
+  /// and scans them beside its lane (pending_messages, pending_for,
+  /// weakly_connected) and refuses to retire a scheduler that holds any:
+  /// nothing would ever deliver them. The default holds none.
+  virtual void for_each_held(
+      const std::function<void(const sim::Envelope&)>& fn) const {
+    (void)fn;
+  }
+
+  /// Node `to` is crashing. Network::crash calls this before it compacts
+  /// its lane (stably, in place): the scheduler destroys the envelopes
+  /// addressed to `to` that it holds and re-indexes any lane positions it
+  /// tracks. The default holds and tracks nothing.
+  virtual void drop_for(sim::Network& net, sim::NodeId to) {
+    (void)net;
+    (void)to;
+  }
 
   /// Worker count (1 for every scheduler but the parallel one).
   virtual unsigned threads() const = 0;

@@ -6,10 +6,8 @@
 
 #include "common/decode.hpp"
 #include "common/encode.hpp"
-#include "sched/async.hpp"
 #include "sched/parallel.hpp"
 #include "sched/serial.hpp"
-#include "sched/timed.hpp"
 #include "sim/trace.hpp"
 #include "telemetry/round_probe.hpp"
 
@@ -25,7 +23,7 @@ namespace {
 constexpr std::size_t kDeliverPrefetch = 4;
 }  // namespace
 
-Network::Network(std::uint64_t seed) : seed_(seed), rng_(seed) {
+Network::Network(std::uint64_t seed) : rng_(seed) {
   main_ctx_.lane = &pending_;
   main_ctx_.metrics = &metrics_;
   main_ctx_.pool = &pool_;
@@ -38,15 +36,15 @@ Network::~Network() {
   // pools die so their leak accounting stays exact. Envelopes may live in
   // scheduler-owned worker pools, so drain before the schedulers (and
   // with them their pools) are destroyed. (The grouped scatter array
-  // never holds messages across run_round calls.)
+  // never holds messages across run_round calls.) The installed
+  // scheduler goes first: the messages it holds (the timed event heap)
+  // may come from a retired scheduler's pools, never the other way round.
   for (const Envelope& env : pending_) env.destroy();
   for (const Envelope& env : round_batch_) env.destroy();
-  for (const TimedEvent& ev : timed_events_) ev.env.destroy();
   pending_.clear();
   round_batch_.clear();
-  timed_events_.clear();
-  retired_schedulers_.clear();
   scheduler_.reset();
+  retired_schedulers_.clear();
 }
 
 NodeId Network::register_node(std::unique_ptr<Node> node) {
@@ -69,57 +67,24 @@ NodeId Network::register_node(std::unique_ptr<Node> node) {
   slot.node = std::move(node);
   slot.last_timeout = step_;
   ++alive_count_;
-  alive_cache_valid_ = false;
-  if (async_timeout_heap_valid_) {
-    async_timeout_heap_.push_back(
-        {step_, static_cast<std::uint32_t>(slots_.size() - 1)});
-    std::push_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                   timeout_entry_later);
-  }
   raw->on_register();
   return id;
 }
 
 void Network::drop_pending_for(NodeId to) {
+  // The scheduler goes first: it may index lane positions this compaction
+  // moves (see Scheduler::drop_for).
+  scheduler_->drop_for(*this, to);
   const auto target = static_cast<std::uint32_t>(to.value);
-  // Compact pending_ and, over its indexed prefix, the async send steps
-  // in lockstep: the index must keep every survivor's true send step.
-  const std::size_t indexed = async_sent_at_.size();
   std::size_t kept = 0;
-  std::size_t kept_indexed = 0;
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    if (pending_[i].to == target) {
-      pending_[i].destroy();
-      continue;
+  for (const Envelope& env : pending_) {
+    if (env.to == target) {
+      env.destroy();
+    } else {
+      pending_[kept++] = env;
     }
-    if (i < indexed) async_sent_at_[kept_indexed++] = async_sent_at_[i];
-    pending_[kept++] = pending_[i];
   }
   pending_.resize(kept);
-  async_sent_at_.resize(kept_indexed);
-  // The compaction moved surviving envelopes, so heap entries would
-  // resolve stale positions: re-index the surviving prefix in position
-  // order (the push sequence a fresh sync of that prefix would make).
-  async_msg_heap_.clear();
-  for (std::size_t i = 0; i < kept_indexed; ++i) {
-    async_msg_heap_.push_back(
-        {async_sent_at_[i], pending_[i].seq, static_cast<std::uint32_t>(i)});
-    std::push_heap(async_msg_heap_.begin(), async_msg_heap_.end(), msg_entry_later);
-  }
-  if (!timed_events_.empty()) {
-    std::size_t kept_ev = 0;
-    for (std::size_t i = 0; i < timed_events_.size(); ++i) {
-      const Envelope& env = timed_events_[i].env;
-      if (env.to == target) {
-        env.destroy();
-      } else {
-        timed_events_[kept_ev++] = timed_events_[i];
-      }
-    }
-    timed_events_.resize(kept_ev);
-    std::make_heap(timed_events_.begin(), timed_events_.end(),
-                   timed_event_later);
-  }
 }
 
 const Envelope* Network::find_pending(NodeId from, std::uint64_t seq) const {
@@ -155,7 +120,6 @@ void Network::crash(NodeId id) {
   slot->crash_round = round_;
   crash_log_.emplace_back(round_, id);
   --alive_count_;
-  alive_cache_valid_ = false;
 }
 
 std::optional<Round> Network::crash_round(NodeId id) const {
@@ -204,13 +168,6 @@ bool Network::recover(NodeId id, std::unique_ptr<Node> node) {
   slot->node = std::move(node);
   slot->last_timeout = step_;
   ++alive_count_;
-  alive_cache_valid_ = false;
-  if (async_timeout_heap_valid_) {
-    async_timeout_heap_.push_back(
-        {step_, static_cast<std::uint32_t>(slot - slots_.data())});
-    std::push_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                   timeout_entry_later);
-  }
   raw->on_register();
   // Re-resolve: on_register may spawn, which can reallocate the slot table.
   slot = find_slot(id);
@@ -219,17 +176,10 @@ bool Network::recover(NodeId id, std::unique_ptr<Node> node) {
   return raw->restore_state(dec);
 }
 
-void Network::collect_alive(std::vector<NodeId>& out) const {
-  out.clear();
-  out.reserve(alive_count_);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].node != nullptr) out.push_back(id_at(i));
-  }
-}
-
 std::vector<NodeId> Network::alive_ids() const {
   std::vector<NodeId> ids;
-  collect_alive(ids);
+  ids.reserve(alive_count_);
+  for_each_alive([&](NodeId id, const Node&) { ids.push_back(id); });
   return ids;
 }
 
@@ -241,14 +191,19 @@ void Network::inject(NodeId to, PooledMsg msg) {
   enqueue(main_ctx_, to, std::move(msg));
 }
 
+std::size_t Network::pending_messages() const {
+  std::size_t held = 0;
+  scheduler_->for_each_held([&](const Envelope&) { ++held; });
+  return pending_.size() + held;
+}
+
 std::size_t Network::pending_for(NodeId id) const {
   std::size_t count = 0;
-  for (const Envelope& env : pending_) {
+  auto count_if_to = [&](const Envelope& env) {
     if (env.target() == id) ++count;
-  }
-  for (const TimedEvent& ev : timed_events_) {
-    if (ev.env.target() == id) ++count;
-  }
+  };
+  for (const Envelope& env : pending_) count_if_to(env);
+  scheduler_->for_each_held(count_if_to);
   return count;
 }
 
@@ -260,39 +215,8 @@ void Network::deliver_envelope(const Envelope& env, Node& node, SendContext& ctx
   ctx.acting = NodeId::null();
 }
 
-void Network::deliver_at(std::size_t index) {
-  SSPS_ASSERT(index < pending_.size());
-  // step() synced the index first, so every pending envelope has a send
-  // step; both arrays swap-remove together.
-  SSPS_ASSERT(async_sent_at_.size() == pending_.size());
-  const Envelope env = pending_[index];
-  // Non-FIFO channel: order does not matter, so swap-remove.
-  pending_[index] = pending_.back();
-  pending_.pop_back();
-  async_sent_at_[index] = async_sent_at_.back();
-  async_sent_at_.pop_back();
-  if (index < pending_.size()) {
-    // The back envelope moved into `index`; its old heap entry no longer
-    // resolves, so index the new position afresh (the stale entry fails
-    // validation and is discarded on pop).
-    async_msg_heap_.push_back({async_sent_at_[index], pending_[index].seq,
-                               static_cast<std::uint32_t>(index)});
-    std::push_heap(async_msg_heap_.begin(), async_msg_heap_.end(),
-                   msg_entry_later);
-  }
-  Slot* slot = find_slot(env.target());
-  SSPS_ASSERT(slot != nullptr && slot->node != nullptr);
-  deliver_envelope(env, *slot->node, main_ctx_);
-}
-
 void Network::fire_timeout(Slot& slot) {
   slot.last_timeout = step_;
-  if (async_timeout_heap_valid_) {
-    async_timeout_heap_.push_back(
-        {step_, static_cast<std::uint32_t>(&slot - slots_.data())});
-    std::push_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                   timeout_entry_later);
-  }
   main_ctx_.acting = slot.node->id();
   slot.node->timeout();
   main_ctx_.acting = NodeId::null();
@@ -308,8 +232,6 @@ std::size_t Network::round_begin() {
   // on the seed, never on the worker count.
   round_batch_.clear();
   std::swap(round_batch_, pending_);
-  // The swap emptied pending_; any async oldest-first entries are stale.
-  clear_msg_index();
   return group_round_batch();
 }
 
@@ -390,9 +312,6 @@ void Network::timeout_sweep() {
   // order within a round is unobservable. Index-based iteration over a
   // size snapshot: a timeout() may spawn (reallocating the table), and
   // nodes born mid-round first fire next round — as before.
-  // A full sweep rewrites every alive last_timeout: cheaper to let the
-  // async index rebuild once on the next step() than to push n updates.
-  async_timeout_heap_valid_ = false;
   const std::size_t population = slots_.size();
   std::size_t timeouts = 0;
   for (std::size_t i = 0; i < population; ++i) {
@@ -423,11 +342,12 @@ std::uint64_t Network::clock_now() const {
   return scheduler_->unit() == sched::Scheduler::Unit::kStep ? step_ : round_;
 }
 
-void Network::sample_round_probe(std::size_t delivered) {
+void Network::sample_round_probe(std::uint64_t clock, std::size_t delivered,
+                                 std::size_t timeouts) {
   telemetry::RoundSample sample;
-  sample.round = round_;
+  sample.round = clock;
   sample.delivered = delivered;
-  sample.timeouts = last_round_timeouts_;
+  sample.timeouts = timeouts;
   sample.in_flight = pending_messages();
   sample.alive = alive_count_;
   sample.pool_reserved_bytes = pool_reserved_bytes();
@@ -482,9 +402,12 @@ void Network::set_scheduler(std::unique_ptr<sched::Scheduler> scheduler) {
   SSPS_ASSERT_MSG(!in_parallel_phase_, "set_scheduler: mid-round");
   SSPS_ASSERT_MSG(trace_ == nullptr || scheduler->threads() == 1,
                   "set_scheduler: detach the trace before going parallel");
-  SSPS_ASSERT_MSG(!timed_enabled_ || scheduler->threads() == 1,
-                  "set_scheduler: timed mode is single-threaded");
   if (scheduler_ != nullptr) {
+    bool holds = false;
+    scheduler_->for_each_held([&](const Envelope&) { holds = true; });
+    SSPS_ASSERT_MSG(!holds,
+                    "set_scheduler: the installed scheduler still holds "
+                    "in-flight messages that no other scheduler would deliver");
     // In-flight envelopes may have been allocated from the old
     // scheduler's worker pools; retire it (alive until the Network dies)
     // instead of destroying those slabs under the messages. It will
@@ -553,268 +476,6 @@ std::size_t Network::pool_reserved_bytes() const {
   return pool_.reserved_bytes() + scheduler_->reserved_bytes();
 }
 
-// ---- Timed-mode engine --------------------------------------------------
-
-void Network::enable_timed(const TimedConfig& cfg) {
-  SSPS_ASSERT_MSG(!in_parallel_phase_, "enable_timed: mid-round");
-  SSPS_ASSERT_MSG(pending_.empty() && timed_events_.empty(),
-                  "enable_timed: switch modes before the first send");
-  timed_cfg_ = cfg;
-  timed_enabled_ = true;
-  timed_now_ = round_ * kTicksPerInterval;
-  // The scheduler stream (rng_) must keep drawing exactly the round
-  // scheduler's sequence for the constant-latency equivalence proof, so
-  // link faults and latency sampling draw from a decorrelated stream.
-  link_rng_.reseed(seed_ * 0x9e3779b97f4a7c15ULL + 0x1d8e4e27c47d124fULL);
-  set_scheduler(std::make_unique<sched::TimedScheduler>());
-}
-
-void Network::add_partition(const PartitionWindow& window) {
-  SSPS_ASSERT_MSG(timed_enabled_, "add_partition: enable_timed first");
-  timed_cfg_.partitions.push_back(window);
-}
-
-std::size_t Network::timed_interval() {
-  SSPS_ASSERT(timed_enabled_);
-  ++step_;
-  // Harness sends since the last interval (publishes, injections) are
-  // deemed sent at interval start: with the default constant one-interval
-  // latency they land exactly at this interval's deadline — delivered
-  // this round, as the round scheduler would.
-  schedule_sends(timed_now_);
-  const Step deadline = timed_now_ + kTicksPerInterval;
-  // Pop everything due by the deadline, in (time, send-order) order; that
-  // canonical sequence is the shuffle input, exactly where the round
-  // scheduler feeds its send-ordered batch in.
-  round_batch_.clear();
-  while (!timed_events_.empty() && timed_events_.front().at <= deadline) {
-    std::pop_heap(timed_events_.begin(), timed_events_.end(),
-                  timed_event_later);
-    round_batch_.push_back(timed_events_.back().env);
-    timed_events_.pop_back();
-  }
-  const std::size_t batch = group_round_batch();
-  const std::size_t delivered = deliver_grouped_range(0, batch, main_ctx_);
-  timed_now_ = deadline;
-  // Handler sends happened during this interval; stamp them at its end
-  // (constant-1 latency then puts them at the next deadline in send
-  // order — the next round's batch). Same for the timeout sweep's sends.
-  schedule_sends(timed_now_);
-  timeout_sweep();
-  schedule_sends(timed_now_);
-  round_end();
-  return delivered;
-}
-
-void Network::schedule_sends(Step send_tick) {
-  for (const Envelope& env : pending_) route_envelope(env, send_tick);
-  pending_.clear();
-  clear_msg_index();
-}
-
-void Network::route_envelope(const Envelope& env, Step send_tick) {
-  if (env.from == 0) {
-    // Harness-originated (publish/inject/control plane): models the
-    // experiment driver, not a network link — rides the clock at the
-    // constant one-interval arrival but is exempt from link faults, so a
-    // workload can never be silently unsatisfiable.
-    push_timed_event(send_tick + kTicksPerInterval, env);
-    return;
-  }
-  const LinkProfile& profile = timed_cfg_.profile_between(env.sender(), env.target());
-  if (timed_cfg_.partitioned(env.sender(), env.target(), send_tick) ||
-      (profile.loss > 0.0 && link_rng_.uniform01() < profile.loss)) {
-    drop_envelope(env);
-    return;
-  }
-  Envelope routed = env;
-  if (corrupter_ != nullptr && profile.corrupt > 0.0 &&
-      link_rng_.uniform01() < profile.corrupt) {
-    // Wire damage: serialize, mangle, re-decode (wire::CodecCorrupter).
-    // Detected damage rejects the bytes — counted, never delivered;
-    // undetected damage yields a valid-but-different message that rides
-    // the link from here exactly like the original would have.
-    ++timed_corrupted_;
-    PooledMsg replacement = corrupter_->corrupt(*routed.msg, pool_, link_rng_);
-    const std::size_t bytes = routed.msg->wire_size();
-    routed.destroy();
-    if (!replacement) {
-      ++timed_rejected_;
-      metrics_.on_reject(bytes);
-      return;
-    }
-    routed.pool = replacement.pool();
-    routed.msg = replacement.release();
-  }
-  Step delay = profile.latency.sample_ticks(link_rng_);
-  if (profile.reorder > 0.0 && link_rng_.uniform01() < profile.reorder) {
-    // Reordering = extra jitter that pushes this message behind sends
-    // made up to a full interval later.
-    delay += 1 + link_rng_.below(kTicksPerInterval);
-  }
-  if (profile.duplicate > 0.0 && link_rng_.uniform01() < profile.duplicate) {
-    PooledMsg copy = routed.msg->clone_into(pool_);
-    if (copy) {  // null = not clonable; skip the duplicate
-      Envelope dup = routed;
-      dup.seq = next_send_seq_++;
-      dup.pool = copy.pool();
-      dup.msg = copy.release();
-      const Step dup_delay = profile.latency.sample_ticks(link_rng_);
-      push_timed_event(send_tick + dup_delay, dup);
-      ++timed_duplicated_;
-    }
-  }
-  push_timed_event(send_tick + delay, routed);
-}
-
-void Network::push_timed_event(Step at, const Envelope& env) {
-  timed_events_.push_back(TimedEvent{at, env});
-  std::push_heap(timed_events_.begin(), timed_events_.end(),
-                 timed_event_later);
-}
-
-void Network::drop_envelope(const Envelope& env) {
-  env.destroy();
-  ++timed_dropped_;
-}
-
-void Network::sync_msg_heap(Step sent_at) {
-  for (std::size_t i = async_sent_at_.size(); i < pending_.size(); ++i) {
-    async_sent_at_.push_back(sent_at);
-    async_msg_heap_.push_back({sent_at, pending_[i].seq, static_cast<std::uint32_t>(i)});
-    std::push_heap(async_msg_heap_.begin(), async_msg_heap_.end(),
-                   msg_entry_later);
-  }
-}
-
-std::pair<Step, std::size_t> Network::oldest_pending() {
-  while (!async_msg_heap_.empty()) {
-    const MsgHeapEntry& top = async_msg_heap_.front();
-    if (top.index < async_sent_at_.size() && pending_[top.index].seq == top.seq &&
-        async_sent_at_[top.index] == top.sent_at) {
-      return {step_ - top.sent_at, top.index};
-    }
-    // Stale: the envelope was delivered, dropped or moved since this
-    // entry was pushed (seq values are never reused, so a match is
-    // conclusive). Discard and look deeper.
-    std::pop_heap(async_msg_heap_.begin(), async_msg_heap_.end(),
-                  msg_entry_later);
-    async_msg_heap_.pop_back();
-  }
-  return {0, 0};
-}
-
-void Network::rebuild_timeout_heap() {
-  async_timeout_heap_.clear();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].node != nullptr) {
-      async_timeout_heap_.push_back(
-          {slots_[i].last_timeout, static_cast<std::uint32_t>(i)});
-    }
-  }
-  std::make_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                 timeout_entry_later);
-  async_timeout_heap_valid_ = true;
-}
-
-std::pair<Step, Network::Slot*> Network::stalest_timeout() {
-  if (!async_timeout_heap_valid_) rebuild_timeout_heap();
-  while (!async_timeout_heap_.empty()) {
-    const TimeoutHeapEntry& top = async_timeout_heap_.front();
-    Slot& slot = slots_[top.slot_index];
-    if (slot.node != nullptr && slot.last_timeout == top.last_timeout) {
-      const Step idle = step_ - top.last_timeout;
-      if (idle == 0) break;  // every alive node fired this very step
-      return {idle, &slot};
-    }
-    // Crashed since, or re-fired (a fresher entry exists): discard.
-    std::pop_heap(async_timeout_heap_.begin(), async_timeout_heap_.end(),
-                  timeout_entry_later);
-    async_timeout_heap_.pop_back();
-  }
-  return {0, nullptr};
-}
-
-std::size_t Network::step() {
-  ++step_;
-
-  // Fairness enforcement must serve by AGE, not by discovery order: under
-  // overload (more overdue work than one action per step) a first-found
-  // policy would starve whatever sorts last — violating the model's fair
-  // receipt / weakly fair execution. Oldest-first guarantees every message
-  // and every Timeout is served within a bounded lag. Ties break towards
-  // the earliest send (lowest seq) / lowest slot index, which is
-  // canonical. Both "oldest" queries are lazy min-heaps — O(log n)
-  // amortized per step where the old full scans made k-step runs
-  // quadratic. Everything not yet indexed was sent before this step's
-  // clock advance, at the previous step.
-  sync_msg_heap(step_ - 1);
-  const auto [oldest_msg_age, oldest_msg_index] = oldest_pending();
-  const auto [stalest_timeout_age, stalest_timeout_slot] = stalest_timeout();
-  if (oldest_msg_age > async_cfg_.max_message_age &&
-      oldest_msg_age >= stalest_timeout_age) {
-    deliver_at(oldest_msg_index);
-    ++window_delivered_;
-    return 1;
-  }
-  if (stalest_timeout_slot != nullptr &&
-      stalest_timeout_age > async_cfg_.max_timeout_gap) {
-    fire_timeout(*stalest_timeout_slot);
-    ++window_timeouts_;
-    return 0;
-  }
-  if (oldest_msg_age > async_cfg_.max_message_age) {
-    deliver_at(oldest_msg_index);
-    ++window_delivered_;
-    return 1;
-  }
-
-  const bool prefer_timeout =
-      pending_.empty() || rng_.below(256) < async_cfg_.timeout_bias;
-  if (prefer_timeout && alive_count_ > 0) {
-    if (!alive_cache_valid_) {
-      collect_alive(alive_cache_);
-      alive_cache_valid_ = true;
-    }
-    fire_timeout(*find_slot(alive_cache_[rng_.pick_index(alive_cache_)]));
-    ++window_timeouts_;
-    return 0;
-  }
-  if (pending_.empty()) return 0;
-
-  // Pick a uniformly random pending message.
-  deliver_at(static_cast<std::size_t>(rng_.below(pending_.size())));
-  ++window_delivered_;
-  return 1;
-}
-
-Step Network::oldest_pending_age() {
-  // Between steps, unindexed envelopes were sent at the current step.
-  sync_msg_heap(step_);
-  return oldest_pending().first;
-}
-
-void Network::run_steps(std::size_t k) {
-  // Drives the async scheduler's step and sampling check without
-  // installing it, so the installed scheduler (and with it clock_now())
-  // is untouched by a harness that mixes steps and rounds.
-  sched::AsyncScheduler stepper;
-  for (std::size_t i = 0; i < k; ++i) stepper.sample(*this, stepper.advance(*this));
-}
-
-void Network::sample_async_probe() {
-  telemetry::RoundSample sample;
-  sample.round = step_;  // the step clock
-  sample.delivered = window_delivered_;
-  sample.timeouts = window_timeouts_;
-  sample.in_flight = pending_messages();
-  sample.alive = alive_count_;
-  sample.pool_reserved_bytes = pool_reserved_bytes();
-  round_probe_->push(sample);
-  window_delivered_ = 0;
-  window_timeouts_ = 0;
-}
-
 bool Network::weakly_connected(NodeId anchor) const {
   if (alive_count_ == 0) return true;
   // Build the undirected adjacency implied by explicit + implicit edges,
@@ -841,18 +502,14 @@ bool Network::weakly_connected(NodeId anchor) const {
     if (anchor && id != anchor) refs.push_back(anchor);
     add_refs(id, refs);
   }
-  for (const Envelope& env : pending_) {
-    if (!alive(env.target())) continue;
+  auto add_channel_refs = [&](const Envelope& env) {
+    if (!alive(env.target())) return;
     refs.clear();
     env.msg->collect_refs(refs);
     add_refs(env.target(), refs);
-  }
-  for (const TimedEvent& ev : timed_events_) {
-    if (!alive(ev.env.target())) continue;
-    refs.clear();
-    ev.env.msg->collect_refs(refs);
-    add_refs(ev.env.target(), refs);
-  }
+  };
+  for (const Envelope& env : pending_) add_channel_refs(env);
+  scheduler_->for_each_held(add_channel_refs);
   // BFS from the first alive node.
   std::vector<bool> seen(slots_.size(), false);
   std::deque<std::uint32_t> queue;

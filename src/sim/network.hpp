@@ -1,4 +1,4 @@
-// The simulated distributed system: node registry, channels, schedulers.
+// The simulated distributed system: the node table and the in-flight lanes.
 //
 // Implements the model of paper §1.1:
 //   - each node has a channel holding a finite multiset of messages;
@@ -6,7 +6,8 @@
 //   - delivery is non-FIFO (the schedulers remove messages in randomized
 //     order) and fully asynchronous;
 //   - fair message receipt and weakly fair action execution are enforced
-//     by both schedulers (see run_round / step);
+//     by every scheduler (see run_round, and sched::AsyncScheduler for the
+//     step-grained one);
 //   - crashed nodes (§3.3) cease to exist: pending and future messages to
 //     them invoke no action.
 //
@@ -22,16 +23,18 @@
 // each envelope is read once and written once per round. Delivery order
 // is a canonical function of (seed, call sequence) — independent of
 // container internals, so runs replay bit-for-bit on any standard
-// library. Scheduling state that only one scheduler reads stays out of the
-// envelope: the async scheduler keeps send steps in its own side vector.
+// library.
 //
-// Synchronous rounds execute behind a Scheduler seam (src/sched): the
-// default sched::SerialScheduler runs the round on the calling thread;
-// sched::ParallelScheduler shards the delivery phase across a worker pool
-// while reproducing the serial delivery trace bit-for-bit. All send-side
-// effects (lane append, metrics, pool allocation, sender attribution) are
-// routed through a SendContext so a worker's sends land in its private
-// lane without any atomics on the hot path.
+// How the lanes are drained is the installed Scheduler's business
+// (src/sched): the default sched::SerialScheduler runs the round on the
+// calling thread; sched::ParallelScheduler shards the delivery phase
+// across a worker pool while reproducing the serial delivery trace
+// bit-for-bit; the timed and async schedulers own their engines, and the
+// Network sees the messages one holds only through Scheduler::
+// for_each_held and Scheduler::drop_for. All send-side effects (lane
+// append, metrics, pool allocation, sender attribution) are routed
+// through a SendContext so a worker's sends land in its private lane
+// without any atomics on the hot path.
 #pragma once
 
 #include <concepts>
@@ -43,7 +46,6 @@
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "sim/link.hpp"
 #include "sim/message_pool.hpp"
 #include "sim/metrics.hpp"
 #include "sim/node.hpp"
@@ -64,25 +66,6 @@ class RoundProbe;
 }  // namespace ssps::telemetry
 
 namespace ssps::sim {
-
-/// Tuning knobs of the randomized asynchronous scheduler.
-struct AsyncConfig {
-  /// A message must be delivered at most this many steps after it was sent
-  /// (fair message receipt).
-  Step max_message_age = 64;
-  /// Every alive node executes Timeout at least once per this many steps
-  /// (weakly fair action execution).
-  Step max_timeout_gap = 64;
-  /// Probability (x / 256) that a step prefers a Timeout over a delivery
-  /// when both are possible.
-  std::uint32_t timeout_bias = 64;
-  /// Step-driven runs sample an attached RoundProbe whenever the step
-  /// clock is a multiple of this (window counters since the previous
-  /// sample) — the async scheduler's analogue of the per-round sample.
-  /// Chunk-invariant: the sample points depend only on the step count,
-  /// never on how the steps were batched into calls.
-  static constexpr Step kProbeStride = 64;
-};
 
 /// One in-flight message (internal to the sim/sched layer): 32 bytes.
 /// All undelivered messages live in flat vectors ("lanes"), not in
@@ -151,21 +134,6 @@ extern thread_local SendContext* tls_send_ctx;
 }  // namespace detail
 
 class Trace;
-
-/// Wire-level damage model for the timed scheduler's corrupting links
-/// (LinkProfile::corrupt). The sim layer owns only the seam: an
-/// implementation serializes the message, mangles the bytes and re-decodes
-/// them, so a corrupted send exercises a real decode path. Returns the
-/// message the receiver ends up decoding (usually different from the
-/// original), or an empty handle when the damage is detected (checksum or
-/// structure) and the bytes are rejected instead of delivered.
-/// wire::CodecCorrupter (src/wire/corrupt.hpp) is the implementation.
-class Corrupter {
- public:
-  virtual ~Corrupter() = default;
-  virtual PooledMsg corrupt(const Message& m, MessagePool& pool,
-                            ssps::Rng& rng) = 0;
-};
 
 /// The simulated network. Owns all nodes, channels, randomness, the
 /// message pool and the metrics.
@@ -299,11 +267,9 @@ class Network {
   /// pool plus any scheduler-owned worker pools).
   std::size_t pool_reserved_bytes() const;
 
-  /// Total number of messages currently sitting in channels (including,
-  /// in timed mode, messages in flight on the virtual-clock event heap).
-  std::size_t pending_messages() const {
-    return pending_.size() + timed_events_.size();
-  }
+  /// Total number of messages currently sitting in channels: the lane
+  /// plus any the installed scheduler holds (the timed event heap).
+  std::size_t pending_messages() const;
 
   /// Number of messages pending for one node.
   std::size_t pending_for(NodeId id) const;
@@ -344,22 +310,6 @@ class Network {
   std::optional<std::size_t> run_until(const std::function<bool()>& pred,
                                        std::size_t max_units);
 
-  /// One step of the randomized asynchronous scheduler: executes exactly
-  /// one enabled action (a delivery or a Timeout) subject to the fairness
-  /// bounds in AsyncConfig. Returns the number of messages delivered by
-  /// the step (0 or 1).
-  std::size_t step();
-
-  /// Age in steps of the oldest in-flight round-lane message, as the
-  /// asynchronous scheduler's oldest-first index sees it (0 when nothing
-  /// is pending). Introspection for fairness tests; no rng draws.
-  Step oldest_pending_age();
-
-  /// Runs `k` async steps, sampling an attached probe every
-  /// AsyncConfig::kProbeStride steps, without installing the async
-  /// scheduler (clock_now() stays on the installed scheduler's clock).
-  void run_steps(std::size_t k);
-
   /// Installs the round scheduler: 1 = the serial scheduler (default),
   /// N > 1 = a ParallelScheduler with N workers. Any thread count yields
   /// bit-identical delivery traces and reports (see src/sched/parallel.hpp
@@ -369,7 +319,10 @@ class Network {
   void set_threads(unsigned threads);
 
   /// Installs a specific scheduler instance (set_threads is the normal
-  /// entry point).
+  /// entry point for round schedulers; the timed and async schedulers are
+  /// installed here). Refuses to retire a scheduler that still holds
+  /// in-flight messages (Scheduler::for_each_held): nothing would deliver
+  /// them, and a message must not be lost while its target is alive.
   void set_scheduler(std::unique_ptr<sched::Scheduler> scheduler);
 
   /// Worker count of the installed round scheduler.
@@ -378,7 +331,8 @@ class Network {
   /// Current round (advanced by run_round only).
   Round round() const { return round_; }
 
-  /// Current async step (advanced by step only).
+  /// The step clock: advanced once per round, timed interval or async
+  /// step.
   Step now() const { return step_; }
 
   /// The installed scheduler's unit clock: the step clock for a
@@ -388,45 +342,6 @@ class Network {
   /// delivery-latency `born` stamp and probe sample index is denominated
   /// in it.
   std::uint64_t clock_now() const;
-
-  AsyncConfig& async_config() { return async_cfg_; }
-
-  // ---- Timed mode (event-driven virtual clock; see sim/link.hpp) -------
-
-  /// Switches the network to the event-driven timed model: sends are
-  /// scheduled onto a virtual-clock event heap with per-link latency,
-  /// loss, duplication and reordering per `cfg`, and run_round() (via the
-  /// installed sched::TimedScheduler) advances the clock one interval
-  /// (= 1 virtual second = one round) at a time. Call before the first
-  /// round; the default TimedConfig reproduces the round scheduler's
-  /// trace bit-for-bit.
-  void enable_timed(const TimedConfig& cfg);
-
-  const TimedConfig& timed_config() const { return timed_cfg_; }
-
-  /// Appends a partition window (virtual-second bounds are absolute, i.e.
-  /// relative to the start of the run) to the live schedule.
-  void add_partition(const PartitionWindow& window);
-
-  /// Virtual clock in ticks (1000 per interval); 0 unless timed.
-  Step virtual_now_ticks() const { return timed_now_; }
-
-  /// Messages dropped by link loss or partitions so far (timed mode).
-  std::uint64_t timed_dropped() const { return timed_dropped_; }
-  /// Extra deliveries manufactured by link duplication (timed mode).
-  std::uint64_t timed_duplicated() const { return timed_duplicated_; }
-  /// Messages whose bytes were mangled in flight (timed mode; requires a
-  /// Corrupter). Counts both outcomes: rejected and delivered-different.
-  std::uint64_t timed_corrupted() const { return timed_corrupted_; }
-  /// Corrupted messages whose damage was detected and rejected (subset of
-  /// timed_corrupted; also counted in Metrics::total_rejected).
-  std::uint64_t timed_rejected() const { return timed_rejected_; }
-
-  /// Installs the wire-damage model corrupting links apply (nullptr
-  /// detaches). Without one, LinkProfile::corrupt > 0 is inert. The
-  /// corrupter must outlive the attachment.
-  void set_corrupter(Corrupter* corrupter) { corrupter_ = corrupter; }
-  Corrupter* corrupter() const { return corrupter_; }
 
   // ---- Crash recovery (periodic snapshots; see Node::snapshot_state) ---
 
@@ -549,41 +464,6 @@ class Network {
     std::vector<std::uint8_t> snapshot;
   };
 
-  /// One scheduled delivery on the timed event heap: the envelope plus
-  /// its virtual delivery time. Equal-time events pop in send (`env.seq`)
-  /// order — the deterministic tie-break that makes the constant-latency
-  /// special case reproduce the round batch order exactly.
-  struct TimedEvent {
-    Step at = 0;
-    Envelope env;
-  };
-  /// Min-heap "later than" comparator for std::push_heap/pop_heap.
-  static bool timed_event_later(const TimedEvent& a, const TimedEvent& b) {
-    return a.at != b.at ? a.at > b.at : a.env.seq > b.env.seq;
-  }
-
-  /// Lazy oldest-first index entries of the async scheduler (see step()):
-  /// validated against pending_ and async_sent_at_ on pop, so
-  /// swap-removes never have to eagerly fix the heap.
-  struct MsgHeapEntry {
-    Step sent_at = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t index = 0;
-  };
-  static bool msg_entry_later(const MsgHeapEntry& a, const MsgHeapEntry& b) {
-    return a.sent_at != b.sent_at ? a.sent_at > b.sent_at : a.seq > b.seq;
-  }
-  struct TimeoutHeapEntry {
-    Step last_timeout = 0;
-    std::uint32_t slot_index = 0;
-  };
-  static bool timeout_entry_later(const TimeoutHeapEntry& a,
-                                  const TimeoutHeapEntry& b) {
-    return a.last_timeout != b.last_timeout
-               ? a.last_timeout > b.last_timeout
-               : a.slot_index > b.slot_index;
-  }
-
   Slot* find_slot(NodeId id) {
     const std::uint64_t index = id.value - 1;
     return id.value >= 1 && index < slots_.size() ? &slots_[index] : nullptr;
@@ -642,31 +522,11 @@ class Network {
   void round_end() { ++round_; }
 
   /// The shuffle + group-by-target counting sort applied to round_batch_
-  /// (shared by round_begin and timed_interval; consumes round_batch_).
-  /// Returns the batch size.
+  /// (shared by round_begin and sched::TimedScheduler, which fills the
+  /// batch from its event heap; consumes round_batch_). Returns the batch
+  /// size.
   std::size_t group_round_batch();
 
-  // ---- Timed-mode engine (called by sched::TimedScheduler) -------------
-
-  /// Advances the virtual clock one interval (= one round = 1 virtual
-  /// second): schedules any harness sends, pops every event due by the
-  /// interval deadline into the delivery batch (time order, send-order
-  /// ties), delivers, schedules the resulting sends, fires the timeout
-  /// sweep and schedules its sends. Returns the number delivered.
-  std::size_t timed_interval();
-
-  /// Drains pending_ onto the event heap, routing each envelope through
-  /// its link (loss, partition, duplication, latency). `send_tick` is the
-  /// virtual time the drained sends are deemed to have happened at.
-  void schedule_sends(Step send_tick);
-  void route_envelope(const Envelope& env, Step send_tick);
-  void push_timed_event(Step at, const Envelope& env);
-  /// Drops one envelope on the floor (loss/partition path).
-  void drop_envelope(const Envelope& env);
-
-  /// Delivers pending_[index] (swap-remove; non-FIFO channels). Async
-  /// scheduler path.
-  void deliver_at(std::size_t index);
   /// Runs `node`'s receive action on `env`, accounting through `ctx` and
   /// attributing the handler's sends to `env.to`.
   void deliver_envelope(const Envelope& env, Node& node, SendContext& ctx);
@@ -674,33 +534,14 @@ class Network {
   /// to the node.
   void fire_timeout(Slot& slot);
 
-  // ---- Async oldest-first index (see step()) ---------------------------
-
-  /// Indexes the pending_ envelopes not yet in the oldest-first heap,
-  /// recording `sent_at` as their send step. Every envelope appended
-  /// since the last sync was sent at one step: the current one, or, once
-  /// step() has advanced the clock, the previous one.
-  void sync_msg_heap(Step sent_at);
-  /// Forgets the oldest-first index (pending_ was emptied wholesale).
-  void clear_msg_index() {
-    async_msg_heap_.clear();
-    async_sent_at_.clear();
-  }
-  /// Oldest pending message as (age, index), or age 0 when none pending.
-  std::pair<Step, std::size_t> oldest_pending();
-  /// Stalest alive Timeout as (idle, slot), or {0, nullptr} when none is
-  /// overdue by at least one step.
-  std::pair<Step, Slot*> stalest_timeout();
-  void rebuild_timeout_heap();
-  void sample_async_probe();
-
   // ---- Telemetry hooks (cold paths; only reached when attached) -------
   void trace_send(NodeId from, NodeId to, const Message& msg, std::uint64_t flow);
   void trace_deliver(const Envelope& env);
-  void sample_round_probe(std::size_t delivered);
+  /// Pushes one RoundSample stamped with `clock` (the round or step clock).
+  void sample_round_probe(std::uint64_t clock, std::size_t delivered,
+                          std::size_t timeouts);
   /// Reclaims every pending message addressed to `to` (crash path).
   void drop_pending_for(NodeId to);
-  void collect_alive(std::vector<NodeId>& out) const;
 
   std::vector<Slot> slots_;  // index = NodeId.value - 1
   std::size_t alive_count_ = 0;
@@ -708,32 +549,12 @@ class Network {
   std::vector<std::pair<Round, NodeId>> crash_log_;  // crash order
   Round round_ = 0;
   Step step_ = 0;
-  std::uint64_t seed_ = 0;  // construction seed (re-salts link_rng_)
   ssps::Rng rng_;
   MessagePool pool_;
   Metrics metrics_;
   telemetry::LatencyTracker latency_;
-  AsyncConfig async_cfg_;
   /// Canonical send counter (Envelope::seq source); main lane only.
   std::uint64_t next_send_seq_ = 0;
-
-  // ---- Timed-mode state ------------------------------------------------
-  bool timed_enabled_ = false;
-  TimedConfig timed_cfg_;
-  /// Virtual clock in ticks; advances by kTicksPerInterval per interval.
-  Step timed_now_ = 0;
-  /// Event heap (timed_event_later order): all in-flight timed messages.
-  std::vector<TimedEvent> timed_events_;
-  /// Link-fault stream, decorrelated from rng_ (the scheduler stream must
-  /// draw exactly the round scheduler's sequence for the equivalence
-  /// argument; faults and latency sampling draw here instead).
-  ssps::Rng link_rng_{0};
-  std::uint64_t timed_dropped_ = 0;
-  std::uint64_t timed_duplicated_ = 0;
-  std::uint64_t timed_corrupted_ = 0;
-  std::uint64_t timed_rejected_ = 0;
-  /// Wire-damage model of corrupting links (null = corruption inert).
-  Corrupter* corrupter_ = nullptr;
 
   // ---- Snapshot / recovery state ---------------------------------------
   /// Periodic snapshot cadence in rounds (0 = off).
@@ -742,28 +563,6 @@ class Network {
   /// by step-grained schedulers that never advance the round clock).
   Round last_snapshot_round_ = 0;
 
-  // ---- Async oldest-first index state ----------------------------------
-  /// Lazy min-heaps over (sent_at, seq) / (last_timeout, slot); entries
-  /// are validated on pop (see step()), so structural churn just leaves
-  /// stale entries behind instead of forcing eager rebuilds.
-  std::vector<MsgHeapEntry> async_msg_heap_;
-  /// Send step of pending_[i], for the indexed prefix [0, size()) of
-  /// pending_ (the envelope itself carries no send time). Kept in step
-  /// with pending_ by deliver_at and drop_pending_for.
-  std::vector<Step> async_sent_at_;
-  std::vector<TimeoutHeapEntry> async_timeout_heap_;
-  /// False after bulk last_timeout churn (a round's timeout sweep) or a
-  /// spawn; step() rebuilds the heap once on demand.
-  bool async_timeout_heap_valid_ = false;
-  /// Alive ids in id order, reused across steps (collect_alive was an
-  /// O(slots) scan per step); invalidated by spawn/crash.
-  std::vector<NodeId> alive_cache_;
-  bool alive_cache_valid_ = false;
-  /// Probe window counters since the last async sample (satellite of the
-  /// empty-timeseries fix: step-driven runs sample these every
-  /// AsyncConfig::kProbeStride steps).
-  std::size_t window_delivered_ = 0;
-  std::size_t window_timeouts_ = 0;
   /// The Network's own send context (lane = pending_, shard = metrics_,
   /// arena = pool_).
   SendContext main_ctx_;

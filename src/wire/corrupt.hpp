@@ -5,7 +5,7 @@
 // the result goes through decode_message — so every corrupted send
 // exercises the exact decode path a remote peer would run. Most manglings
 // trip the frame checksum or a structural check and are rejected (the
-// Network counts them under Metrics::total_rejected); one mode recomputes
+// timed scheduler counts them under Metrics::total_rejected); one mode recomputes
 // the CRC after scrambling the payload, so a fraction decodes into a
 // valid-but-different message the protocol must stabilize around.
 #pragma once
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/network.hpp"
+#include "sim/link.hpp"
 #include "wire/codec.hpp"
 
 namespace ssps::wire {

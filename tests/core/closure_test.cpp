@@ -2,9 +2,12 @@
 // are preserved — and the steady-state maintenance traffic is bounded.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 
 #include "core/system.hpp"
+#include "sched/async.hpp"
+#include "sched/serial.hpp"
 
 namespace ssps::core {
 namespace {
@@ -99,8 +102,10 @@ TEST(Closure, AsyncSchedulerPreservesLegitimacyToo) {
   sys.add_subscribers(16);
   ASSERT_TRUE(sys.run_until_legit(1000).has_value());
   const std::string before = state_fingerprint(sys);
-  sys.net().run_steps(50000);
+  sys.net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
+  sys.net().run_units(50000);
   // Drain whatever is in flight, then compare.
+  sys.net().set_scheduler(std::make_unique<sched::SerialScheduler>());
   sys.net().run_rounds(3);
   EXPECT_EQ(state_fingerprint(sys), before);
   EXPECT_TRUE(sys.topology_legit()) << sys.legitimacy_violation();

@@ -7,6 +7,8 @@
 #include "common/rng.hpp"
 #include "core/chaos.hpp"
 #include "pubsub/pubsub_node.hpp"
+#include "sched/async.hpp"
+#include "sched/serial.hpp"
 
 namespace ssps::core {
 namespace {
@@ -24,6 +26,7 @@ TEST_P(Torture, EverythingAtOnceEventuallyStabilizes) {
   ssps::Rng rng(seed * 7 + 3);
   std::size_t published = 0;
   std::size_t alive_subscribers = ids.size();
+  bool stepping = false;  // an AsyncScheduler is installed
 
   // 12 waves of mixed trouble.
   for (int wave = 0; wave < 12; ++wave) {
@@ -79,13 +82,23 @@ TEST_P(Torture, EverythingAtOnceEventuallyStabilizes) {
         break;
       }
     }
-    // A burst of progress under either scheduler.
+    // A burst of progress under either scheduler. Consecutive step bursts
+    // share one AsyncScheduler, so pending messages keep their send steps.
     if (rng.chance(1, 2)) {
+      if (stepping) {
+        sys.net().set_scheduler(std::make_unique<sched::SerialScheduler>());
+        stepping = false;
+      }
       sys.net().run_rounds(rng.between(2, 8));
     } else {
-      sys.net().run_steps(rng.between(500, 3000));
+      if (!stepping) {
+        sys.net().set_scheduler(std::make_unique<sched::AsyncScheduler>());
+        stepping = true;
+      }
+      sys.net().run_units(rng.between(500, 3000));
     }
   }
+  if (stepping) sys.net().set_scheduler(std::make_unique<sched::SerialScheduler>());
 
   // Quiescence: the system must fully stabilize...
   const auto rounds = sys.run_until_legit(30000);

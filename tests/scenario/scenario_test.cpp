@@ -4,6 +4,7 @@
 
 #include "scenario/builtin.hpp"
 #include "scenario/runner.hpp"
+#include "sched/async.hpp"
 
 namespace ssps::scenario {
 namespace {
@@ -324,7 +325,7 @@ TEST(CustomSpec, AsyncTimeseriesAndLatencyUseTheStepClock) {
   // Samples tick on the step clock: strictly increasing multiples of the
   // probe stride (the round counter would sit at a handful of rounds).
   const auto& samples = report.timeseries->samples;
-  const sim::Step stride = sim::AsyncConfig::kProbeStride;
+  const sim::Step stride = sched::AsyncConfig::kProbeStride;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     if (i > 0) {
       EXPECT_LT(samples[i - 1].round, samples[i].round);
@@ -384,7 +385,93 @@ TEST(TimedScheduler, LossyScrambledRecoveryAt64Nodes) {
   EXPECT_EQ(report.latency.unit, "virtual-seconds");
   EXPECT_GT(report.latency.global.count, 0u);
   // The link layer really dropped traffic on the way.
-  EXPECT_GT(runner.net().timed_dropped(), 0u);
+  ASSERT_NE(runner.timed(), nullptr);
+  EXPECT_GT(runner.timed()->dropped(), 0u);
+}
+
+/// FNV-1a over a report's compact JSON: a pinned report digest.
+std::uint64_t report_digest(const ScenarioReport& report) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : report.to_json().dump(0)) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(TimedScheduler, CorruptingPartitionedReportIsPinned) {
+  // chaos-churn at seed 7, n = 12, scrambled start, over two zones with a
+  // cut between them during the crash wave: corrupting, lossy,
+  // duplicating, reordering and partitioned links, snapshots and
+  // recoveries, through the ScenarioRunner. The digest and the fault
+  // counters were captured before the timed engine moved out of
+  // sim::Network into sched::TimedScheduler.
+  ScenarioSpec spec = scrambled_variant(builtin_scenario("chaos-churn", 7, 12));
+  spec.exec.timed.zones = 2;
+  spec.exec.timed.remote = spec.exec.timed.local;
+  sim::PartitionWindow cut;
+  cut.from_s = 1;
+  cut.to_s = 4;
+  cut.zone_a = 0;
+  cut.zone_b = 1;
+  bool placed = false;
+  for (Phase& phase : spec.phases) {
+    if (phase.name == "crash-wave") {
+      phase.partitions.push_back(cut);
+      placed = true;
+    }
+  }
+  ASSERT_TRUE(placed);
+  ScenarioRunner runner(spec);
+  const ScenarioReport& report = runner.run();
+  EXPECT_TRUE(report.ok);
+  EXPECT_TRUE(report.oracle_ok);
+  EXPECT_EQ(report_digest(report), 0x4d6056a5479dc2d6ULL);
+  ASSERT_NE(runner.timed(), nullptr);
+  EXPECT_EQ(runner.timed()->dropped(), 493u);
+  EXPECT_EQ(runner.timed()->duplicated(), 79u);
+  EXPECT_EQ(runner.timed()->corrupted(), 195u);
+  EXPECT_EQ(runner.timed()->rejected(), 175u);
+}
+
+TEST(CustomSpec, AsyncChurnReportIsPinned) {
+  // An installed-async run with a timeseries probe whose phases crash a
+  // node and recover that same node with no step in between (the slot
+  // and alive counts end where they were), then crash two more and spawn
+  // two. The digest was captured before the async engine moved out of
+  // sim::Network into sched::AsyncScheduler.
+  ScenarioSpec spec;
+  spec.name = "custom-async-churn";
+  spec.seed = 19;
+  spec.nodes = 24;
+  spec.mode = Mode::kSingleTopic;
+  spec.exec.scheduler = Scheduler::kAsync;
+  spec.timeseries_capacity = 64;
+  auto add_phase = [&](const char* name, ChurnWave churn, std::size_t publish,
+                       bool converge) {
+    Phase phase;
+    phase.name = name;
+    phase.churn = churn;
+    phase.publish.count = publish;
+    phase.converge = converge;
+    phase.max_rounds = 5000;
+    spec.phases.push_back(phase);
+  };
+  add_phase("bootstrap", ChurnWave{.joins = 24}, 0, true);
+  add_phase("crash-one", ChurnWave{.crashes = 1}, 0, false);
+  add_phase("recover-one", ChurnWave{.recoveries = 1}, 0, true);
+  add_phase("churn", ChurnWave{.joins = 2, .crashes = 2}, 0, true);
+  add_phase("publish", ChurnWave{}, 3, true);
+
+  ScenarioRunner runner(spec);
+  const ScenarioReport& report = runner.run();
+  EXPECT_TRUE(report.ok);
+  ASSERT_EQ(report.phases.size(), 5u);
+  EXPECT_EQ(report.phases[1].rounds, 0u);  // no step between crash and recover
+  EXPECT_EQ(report.phases[2].recovered, 1u);
+  ASSERT_TRUE(report.timeseries.has_value());
+  EXPECT_EQ(report.timeseries->samples.size(), 49u);
+  EXPECT_EQ(report_digest(report), 0x1fc9818253c53f25ULL);
 }
 
 TEST(CustomSpec, AsyncSchedulerPhasesAreDeterministic) {

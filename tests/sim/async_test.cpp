@@ -10,6 +10,7 @@
 #include "core/system.hpp"
 #include "pubsub/pubsub_node.hpp"
 #include "sched/async.hpp"
+#include "sched/serial.hpp"
 #include "sim/network.hpp"
 #include "sim/trace.hpp"
 
@@ -18,6 +19,28 @@ namespace {
 
 using core::ChaosOptions;
 using core::SkipRingSystem;
+using sched::AsyncConfig;
+using sched::AsyncScheduler;
+
+/// Installs an AsyncScheduler on `net` and returns it. Its fairness
+/// indexes persist across run_units calls for as long as it stays
+/// installed.
+AsyncScheduler& install_async(Network& net, AsyncConfig cfg = {}) {
+  auto async = std::make_unique<AsyncScheduler>(cfg);
+  AsyncScheduler& installed = *async;
+  net.set_scheduler(std::move(async));
+  return installed;
+}
+
+/// Runs `steps` async steps from a freshly installed AsyncScheduler, then
+/// one round under the serial scheduler (the round empties the lane the
+/// async index covers, so the next stepper starts from a clean slate).
+void steps_then_round(Network& net, std::size_t steps) {
+  install_async(net);
+  net.run_units(steps);
+  net.set_scheduler(std::make_unique<sched::SerialScheduler>());
+  net.run_round();
+}
 
 struct AsyncCase {
   Step max_age;
@@ -43,13 +66,13 @@ TEST_P(AsyncSweep, CorruptedSystemStabilizesUnderAsynchrony) {
   chaos.seed = seed + 1;
   corrupt_system(sys, chaos);
 
-  sys.net().async_config().max_message_age = age;
-  sys.net().async_config().max_timeout_gap = gap;
-  sys.net().async_config().timeout_bias = bias;
+  install_async(sys.net(), AsyncConfig{.max_message_age = age,
+                                        .max_timeout_gap = gap,
+                                        .timeout_bias = bias});
 
   bool legit = false;
   for (int block = 0; block < 400 && !legit; ++block) {
-    sys.net().run_steps(4000);
+    sys.net().run_units(4000);
     legit = sys.topology_legit();
   }
   EXPECT_TRUE(legit) << sys.legitimacy_violation();
@@ -88,7 +111,7 @@ class StepProbe final : public Node {
 };
 
 TEST(AsyncScheduler, FixedSeedPickSequenceIsPinned) {
-  // The canonical step()-picking trace for seed 2024: delivery order and
+  // The canonical step-picking trace for seed 2024: delivery order and
   // per-node timeout counts over 120 steps. Pins the scheduler's fairness
   // decisions — the oldest-message / stalest-timeout indexes and the
   // (sent_at, seq) / (last_timeout, slot) tie-breaks — so a refactor of
@@ -100,7 +123,8 @@ TEST(AsyncScheduler, FixedSeedPickSequenceIsPinned) {
   net.node_as<StepProbe>(a).echo_to = b;
   net.node_as<StepProbe>(b).echo_to = c;
   for (int i = 0; i < 6; ++i) net.emit<StepPing>(a, i);
-  net.run_steps(120);
+  install_async(net);
+  net.run_units(120);
   EXPECT_EQ(net.node_as<StepProbe>(a).received, (std::vector<int>{3, 4, 5, 0, 2, 1}));
   EXPECT_EQ(net.node_as<StepProbe>(b).received,
             (std::vector<int>{1003, 1002, 1005, 1000, 1004, 1001}));
@@ -121,28 +145,47 @@ TEST(AsyncScheduler, CrashKeepsTheSendStepsOfSurvivingMessages) {
   const NodeId b = net.spawn<StepProbe>();
   const NodeId c = net.spawn<StepProbe>();
   // Only forced (overdue) deliveries: every free step prefers a Timeout.
-  net.async_config().timeout_bias = 256;
-  net.async_config().max_message_age = 50;
+  AsyncScheduler& stepper =
+      install_async(net, AsyncConfig{.max_message_age = 50, .timeout_bias = 256});
   net.emit<StepPing>(c, 1);
   net.emit<StepPing>(a, 2);  // the oldest survivor, sent at step 0
-  net.run_steps(10);
+  net.run_units(10);
   net.emit<StepPing>(c, 3);
   net.emit<StepPing>(b, 4);
-  net.run_steps(20);
+  net.run_units(20);
   ASSERT_EQ(net.pending_messages(), 4u);
-  const Step before = net.oldest_pending_age();
+  const Step before = stepper.oldest_pending_age(net);
   EXPECT_EQ(before, 30u);
   net.crash(c);  // unrelated to a: moves b's message down two slots
   EXPECT_EQ(net.pending_messages(), 2u);
-  EXPECT_EQ(net.oldest_pending_age(), before);
+  EXPECT_EQ(stepper.oldest_pending_age(net), before);
   // The message to a is due once its age exceeds 50: at step 51, not 50
   // steps after the crash.
-  net.run_steps(20);
+  net.run_units(20);
   EXPECT_EQ(net.pending_for(a), 1u);
-  net.run_steps(1);
+  net.run_units(1);
   EXPECT_EQ(net.pending_for(a), 0u);
   EXPECT_EQ(net.node_as<StepProbe>(a).received, (std::vector<int>{2}));
-  EXPECT_EQ(net.oldest_pending_age(), 41u);  // b's message, sent at step 10
+  EXPECT_EQ(stepper.oldest_pending_age(net), 41u);  // b's message, sent at step 10
+}
+
+TEST(AsyncScheduler, RecoveredNodeKeepsItsTimeoutFairness) {
+  // A crash and a recover of the same node between two steps leave the
+  // slot and alive counts where they were. The stalest-timeout index must
+  // still see the recovered node's fresh Timeout clock, or (with no free
+  // Timeout picks) the node would never time out again.
+  Network net(5);
+  const NodeId a = net.spawn<StepProbe>();
+  const NodeId sink = net.spawn<StepProbe>();
+  for (int i = 0; i < 400; ++i) net.emit<StepPing>(sink, i);
+  install_async(net, AsyncConfig{.max_message_age = 1000,
+                                 .max_timeout_gap = 8,
+                                 .timeout_bias = 0});
+  net.run_units(20);
+  net.crash(a);
+  EXPECT_FALSE(net.recover(a, std::make_unique<StepProbe>()));  // no snapshot
+  net.run_units(40);
+  EXPECT_GE(net.node_as<StepProbe>(a).timeouts, 3);
 }
 
 TEST(AsyncScheduler, InstallingItPutsClockNowOnTheStepClock) {
@@ -151,7 +194,7 @@ TEST(AsyncScheduler, InstallingItPutsClockNowOnTheStepClock) {
   // round counter to the step counter.
   Network net(3);
   net.spawn<StepProbe>();
-  net.set_scheduler(std::make_unique<sched::AsyncScheduler>());
+  install_async(net);
   EXPECT_EQ(net.clock_now(), 0u);
   net.run_units(37);
   EXPECT_EQ(net.clock_now(), 37u);
@@ -185,7 +228,8 @@ TEST(AsyncScheduler, TimeoutSendsAreAttributedToTheTimingOutNode) {
   Trace trace(1 << 12);
   net.attach_trace(&trace);
   for (int i = 0; i < 40; ++i) net.emit<StepPing>(b, i);
-  net.run_steps(400);
+  install_async(net);
+  net.run_units(400);
 
   const std::vector<TraceEvent> ticks = trace.filter("Tick");
   std::size_t sends = 0;
@@ -216,9 +260,10 @@ TEST(AsyncScheduler, PublicationsConvergeUnderAsynchronyToo) {
     sys.pubsub(ids[static_cast<std::size_t>(i) % ids.size()])
         .add_local(pubsub::Publication{ids[0], "a" + std::to_string(i)});
   }
+  install_async(sys.net());
   bool done = false;
   for (int block = 0; block < 400 && !done; ++block) {
-    sys.net().run_steps(4000);
+    sys.net().run_units(4000);
     done = sys.publications_converged();
   }
   EXPECT_TRUE(done);
@@ -233,8 +278,7 @@ TEST(AsyncScheduler, MixedSchedulersInterleave) {
   chaos.seed = 34;
   corrupt_system(sys, chaos);
   for (int i = 0; i < 100 && !sys.topology_legit(); ++i) {
-    sys.net().run_steps(500);
-    sys.net().run_round();
+    steps_then_round(sys.net(), 500);
   }
   EXPECT_TRUE(sys.topology_legit()) << sys.legitimacy_violation();
 }
@@ -249,8 +293,7 @@ TEST(AsyncScheduler, CrashRecoveryUnderAsynchrony) {
   // async scheduler does the bulk of the work.
   bool legit = false;
   for (int block = 0; block < 400 && !legit; ++block) {
-    sys.net().run_steps(2000);
-    sys.net().run_round();
+    steps_then_round(sys.net(), 2000);
     legit = sys.topology_legit();
   }
   EXPECT_TRUE(legit) << sys.legitimacy_violation();

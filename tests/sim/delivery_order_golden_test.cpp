@@ -8,12 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/encode.hpp"
 #include "core/messages.hpp"
 #include "pubsub/pubsub_node.hpp"
+#include "sched/async.hpp"
 #include "sim/trace.hpp"
 
 namespace ssps::sim {
@@ -58,7 +60,8 @@ GoldenRun run_golden(unsigned threads, bool traced) {
     if (round == 20) sys.pubsub(ids[40]).publish("beta");
     net.run_round();
   }
-  net.run_steps(300);
+  net.set_scheduler(std::make_unique<sched::AsyncScheduler>());
+  net.run_units(300);
   net.attach_trace(nullptr);
 
   GoldenRun out;

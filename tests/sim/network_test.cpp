@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+
+#include "sched/async.hpp"
 
 namespace ssps::sim {
 namespace {
@@ -136,31 +139,34 @@ TEST(Network, AsyncStepsDeliverEverythingEventually) {
   Network net(7);
   const NodeId a = net.spawn<Probe>();
   for (int i = 0; i < 50; ++i) net.emit<Ping>(a, i);
-  net.run_steps(5000);
+  net.set_scheduler(std::make_unique<sched::AsyncScheduler>());
+  net.run_units(5000);
   EXPECT_EQ(net.node_as<Probe>(a).received.size(), 50u);
 }
 
 TEST(Network, AsyncFairnessBoundsMessageAge) {
   Network net(8);
-  net.async_config().max_message_age = 16;
+  net.set_scheduler(std::make_unique<sched::AsyncScheduler>(
+      sched::AsyncConfig{.max_message_age = 16}));
   const NodeId a = net.spawn<Probe>();
   const NodeId b = net.spawn<Probe>();
   (void)b;
   net.emit<Ping>(a, 1);
   // Within max_message_age + a few steps the message must arrive, no
   // matter how the scheduler dices.
-  net.run_steps(20);
+  net.run_units(20);
   EXPECT_EQ(net.node_as<Probe>(a).received.size(), 1u);
 }
 
 TEST(Network, AsyncFairnessBoundsTimeoutGap) {
   Network net(9);
-  net.async_config().max_timeout_gap = 8;
+  net.set_scheduler(std::make_unique<sched::AsyncScheduler>(
+      sched::AsyncConfig{.max_timeout_gap = 8}));
   const NodeId a = net.spawn<Probe>();
   // Keep the scheduler busy with messages to tempt it away from timeouts.
   const NodeId sinkhole = net.spawn<Probe>();
   for (int i = 0; i < 100; ++i) net.emit<Ping>(sinkhole, i);
-  net.run_steps(100);
+  net.run_units(100);
   EXPECT_GE(net.node_as<Probe>(a).timeouts, 5);
 }
 
